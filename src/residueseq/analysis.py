@@ -9,6 +9,7 @@ marks the report accordingly.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -53,19 +54,6 @@ from .compress import (
 )
 
 DEFAULT_BUDGET = 10**8
-
-SUITE_NAMES = (
-    "recurrence",
-    "carry",
-    "periods",
-    "distribution",
-    "alpha-k",
-    "thm7",
-    "thm8",
-    "thm9",
-    "legendre",
-    "all",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -227,27 +215,27 @@ def primitive_states(ctx: RingContext, n: int):
             yield state
 
 
-def shift_classes(f: RingPolynomial):
-    """Shift-class representatives of all primitive sequences of f.
+def shift_classes(f: RingPolynomial, states=None):
+    """Shift-class representatives of the sequences of f started from
+    states, by default every primitive initial state.
 
-    Returns (reps, index); index maps every primitive initial state to
+    Returns (reps, index); index maps every state of those classes to
     (class number, rotation offset), and the rotations of each rep
     exhaust its class. Verdicts of rotation-invariant checks carry over
     from the rep to the whole class.
     """
-    n = f.degree
     reps: list[LRSequence] = []
     index: dict[tuple[int, ...], tuple[int, int]] = {}
-    for state in primitive_states(f.ctx, n):
+    if states is None:
+        states = primitive_states(f.ctx, f.degree)
+    for state in states:
         if state in index:
             continue
         s = generate(f, state)
         ci = len(reps)
         reps.append(s)
-        for t in range(s.period):
-            st = s.state_at(t)
-            if st not in index:
-                index[st] = (ci, t)
+        # the states of one least period are distinct and in no earlier class
+        index.update((s.state_at(t), (ci, t)) for t in range(s.period))
     return reps, index
 
 
@@ -300,11 +288,8 @@ def verify_alpha_k_injectivity(
         raise InvalidInputError("k must be nonzero")
     if m.g.degree >= 2 and not cert.strongly_primitive:
         raise InvalidInputError("deg g >= 2 requires a strongly primitive polynomial")
-    if m.p != p or m.e != ctx.e:
-        raise InvalidInputError("compressing map does not match the ring")
-
+    table = value_table(m, ctx)  # also rejects a map that does not fit the ring
     states = list(primitive_states(ctx, cert.n))
-    table = value_table(m, ctx)
     compressed = []
     positions = []
     for state in states:
@@ -453,22 +438,20 @@ def count_uniform_s(
     if lam % p == 0:
         raise InvalidInputError("the scaling factor must be a unit")
     phi = value_table(m, ctx)
-    phi_lam = tuple(phi[lam * v % ctx.modulus] for v in range(ctx.modulus))
     img = set(phi)
 
     reps, index = shift_classes(cert.f)
-    n_states = len(index)
     period = reps[0].period if reps else 1
     positions = 0
     sampled = len(reps) * period * p > budget
     if sampled:
         rng = random.Random(seed)
         states = sorted(rng.sample(sorted(index), max(1, budget // (period * p))))
-        scan_seqs = [(generate(cert.f, st), st) for st in states]
-        pairs = len(scan_seqs)
+        seqs = [generate(cert.f, st) for st in states]
+        pairs = len(seqs)
     else:
-        scan_seqs = [(rep, rep.initial_state) for rep in reps]
-        pairs = n_states
+        seqs = reps
+        pairs = len(index)
 
     holding = []
     vacuous = []
@@ -477,16 +460,8 @@ def count_uniform_s(
         if s not in img:
             vacuous.append(s)
             continue
-        witness = None
-        for seq, state in scan_seqs:
-            for t in range(seq.period):
-                positions += 1
-                v = seq.terms[t]
-                if (phi[v] == s) != (phi_lam[v] == s):
-                    witness = {"state": list(state), "t": t, "s": s}
-                    break
-            if witness:
-                break
+        witness, scanned = _scaled_uniform_scan(seqs, phi, lam, s)
+        positions += scanned
         if witness is None:
             holding.append(s)
         else:
@@ -615,21 +590,6 @@ def suite_recurrence(
     return reports
 
 
-def _orbit_reps(f: RingPolynomial) -> list[LRSequence]:
-    # One generated sequence per shift orbit of the full state space.
-    n = f.degree
-    seen: set[tuple[int, ...]] = set()
-    reps = []
-    for state in itertools.product(range(f.ctx.modulus), repeat=n):
-        if state in seen:
-            continue
-        s = generate(f, state)
-        reps.append(s)
-        for t in range(s.period):
-            seen.add(s.state_at(t))
-    return reps
-
-
 def suite_periods(p: int = 3, n: int = 2, es=(2, 3)) -> list[UniformityReport]:
     """Period laws for every primitive f and every state, via one
     representative per shift orbit (periods are rotation-invariant)."""
@@ -643,7 +603,8 @@ def suite_periods(p: int = 3, n: int = 2, es=(2, 3)) -> list[UniformityReport]:
         num_f = 0
         for f in iter_primitive(ctx, n):
             num_f += 1
-            for seq in _orbit_reps(f):
+            every_state = itertools.product(range(ctx.modulus), repeat=n)
+            for seq in shift_classes(f, every_state)[0]:
                 orbits += 1
                 lowest = next(
                     (i for i in range(e) if not level(seq, i).is_zero()), None
@@ -752,18 +713,10 @@ def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityRep
             for gamma in gammas:
                 for k in range(1, p):
                     cells += 1
-                    got = {
-                        c_top.at(t)
-                        for t in range(math.lcm(c_seq.period, gamma.period))
-                        if gamma.at(t) == k
-                    }
+                    got = _value_set(c_top, gamma, k)
                     if len(got) == p:
                         continue
-                    if len(got) != 1:
-                        witness = {"f": _fmt_coeffs(f), "state": list(c_state),
-                                   "k": k, "got": sorted(got)}
-                        break
-                    lam = _proportional(c_top, gamma, p)
+                    lam = _proportional(c_top, gamma, p) if len(got) == 1 else None
                     if not lower_zero or lam is None or got != {lam * k % p}:
                         witness = {"f": _fmt_coeffs(f), "state": list(c_state),
                                    "k": k, "got": sorted(got)}
@@ -786,8 +739,7 @@ def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityRep
     started = time.perf_counter()
     witness = None
     cells = 0
-    strong = (f for f in iter_primitive(ctx, n) if certify(f).strongly_primitive)
-    for f in itertools.islice(strong, 2):
+    for f in itertools.islice(iter_primitive(ctx, n, strongly=True), 2):
         cert = certify(f)
         states = list(primitive_states(ctx, n))
         seqs = {st: generate(f, st) for st in states}
@@ -864,14 +816,11 @@ def suite_alpha_k(
 ) -> list[UniformityReport]:
     """Injectivity-from-agreement over a grid of eta maps and markers k."""
     ctx = RingContext(p, e)
-    if deg_g == 1:
-        g = UnivariateFn(p, (0, 1))
-    elif deg_g == 2:
-        g = UnivariateFn(p, (0, 0, 1))
-    else:
+    if deg_g not in (1, 2):
         raise InvalidInputError(f"deg g must be 1 or 2 in this suite, got {deg_g}")
+    g = UnivariateFn(p, (0,) * deg_g + (1,))  # x^deg_g
     if f_coeffs is not None:
-        cert = certify(RingPolynomial(ctx, tuple(f_coeffs)))
+        cert = certify(RingPolynomial(ctx, tuple(ctx.check(c) for c in f_coeffs)))
     else:
         cert = find_primitive(ctx, n, strongly=deg_g >= 2)
         if cert is None and deg_g >= 2:
@@ -889,16 +838,19 @@ def suite_alpha_k(
     return reports
 
 
-def _uniform_scan_classes(reps, phi, phi_other, s):
-    """Witness of an s-hit disagreement across shift classes, plus the
-    number of positions compared."""
+def _scaled_uniform_scan(seqs, phi, lam, s):
+    """First disagreement of compress(a) and compress(lam * a) on hitting
+    s, over one period of each a in seqs, as (witness or None, positions
+    compared); phi is the map's value table on Z/(p^e)."""
+    modulus = len(phi)
+    phi_lam = [phi[lam * v % modulus] for v in range(modulus)]
     positions = 0
-    for rep in reps:
-        for t in range(rep.period):
+    for seq in seqs:
+        for t in range(seq.period):
             positions += 1
-            v = rep.terms[t]
-            if (phi[v] == s) != (phi_other[v] == s):
-                return {"state": list(rep.initial_state), "t": t, "s": s}, positions
+            v = seq.terms[t]
+            if (phi[v] == s) != (phi_lam[v] == s):
+                return {"state": list(seq.initial_state), "t": t, "s": s}, positions
     return None, positions
 
 
@@ -928,13 +880,11 @@ def suite_thm7(ps=(3, 5), e: int = 2, n: int = 2) -> list[UniformityReport]:
         )
 
         reps, index = shift_classes(cert.f)
-        neg = ctx.modulus - 1
         for s in range(p):
             started = time.perf_counter()
             m = construct_thm7(g, s, e)
-            phi = value_table(m, ctx)
-            phi_neg = tuple(phi[neg * v % ctx.modulus] for v in range(ctx.modulus))
-            witness, positions = _uniform_scan_classes(reps, phi, phi_neg, s)
+            witness, positions = _scaled_uniform_scan(
+                reps, value_table(m, ctx), ctx.modulus - 1, s)
             params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x",
                       "s": s, "eta": format_multipoly(m.eta)}
             counts = {"positions": positions, "pairs": len(index)}
@@ -965,7 +915,6 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
         )
 
         reps, index = shift_classes(cert.f)
-        lam_res = ctx.modulus - 1
         for s in range(p):
             started = time.perf_counter()
             m = construct_thm8(g, s, lam, 0, e)
@@ -975,9 +924,8 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
                             None, {"positions": 0, "pairs": 0}, False, 0, started)
                 )
                 continue
-            phi = value_table(m, ctx)
-            phi_lam = tuple(phi[lam_res * v % ctx.modulus] for v in range(ctx.modulus))
-            witness, positions = _uniform_scan_classes(reps, phi, phi_lam, s)
+            witness, positions = _scaled_uniform_scan(
+                reps, value_table(m, ctx), ctx.modulus - 1, s)
             params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x^2",
                       "s": s, "lambda": lam, "eta": format_multipoly(m.eta)}
             counts = {"positions": positions, "pairs": len(index)}
@@ -1018,62 +966,46 @@ def suite_thm9(
     return reports
 
 
+SUITES = {
+    "recurrence": suite_recurrence,
+    "carry": suite_carry,
+    "periods": suite_periods,
+    "distribution": suite_distribution,
+    "alpha-k": suite_alpha_k,
+    "thm7": suite_thm7,
+    "thm8": suite_thm8,
+    "thm9": suite_thm9,
+    "legendre": suite_legendre,
+}
+
+# what `all` runs, in order: every suite at its defaults, alpha-k once
+# with g = x on the fixed generator 8,8,1 and once with g = x^2
+ALL_SUITES = (
+    ("carry", {}), ("legendre", {}), ("recurrence", {}), ("periods", {}),
+    ("distribution", {}), ("alpha-k", {"deg_g": 1, "f_coeffs": (8, 8, 1)}),
+    ("alpha-k", {"deg_g": 2}), ("thm7", {}), ("thm8", {}), ("thm9", {}),
+)
+
+SUITE_NAMES = (*SUITES, "all")
+
+
 def run_suite(
     name: str,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     **overrides,
 ) -> list[UniformityReport]:
-    """Dispatch a named suite with acceptance-scale defaults."""
-    if name == "carry":
-        return suite_carry(overrides.get("ps", (3, 5, 7, 11)))
-    if name == "legendre":
-        return suite_legendre(overrides.get("ps", (3, 5, 7, 11, 13)))
-    if name == "recurrence":
-        return suite_recurrence(
-            p=overrides.get("p", 3), n=overrides.get("n", 2),
-            es=overrides.get("es", (2, 3, 4)),
-            num_states=overrides.get("num_states", 10), seed=seed,
-        )
-    if name == "periods":
-        return suite_periods(
-            p=overrides.get("p", 3), n=overrides.get("n", 2),
-            es=overrides.get("es", (2, 3)),
-        )
-    if name == "distribution":
-        return suite_distribution(
-            p=overrides.get("p", 3), n=overrides.get("n", 2),
-            e=overrides.get("e", 2),
-        )
-    if name == "alpha-k":
-        return suite_alpha_k(
-            p=overrides.get("p", 3), e=overrides.get("e", 2),
-            n=overrides.get("n", 2), f_coeffs=overrides.get("f_coeffs"),
-            deg_g=overrides.get("deg_g", 1), ks=overrides.get("ks"),
-            eta_sample=overrides.get("eta_sample", 27),
-            budget=budget, seed=seed,
-        )
-    if name == "thm7":
-        return suite_thm7(overrides.get("ps", (3, 5)),
-                          e=overrides.get("e", 2), n=overrides.get("n", 2))
-    if name == "thm8":
-        return suite_thm8(overrides.get("ps", (5, 7)),
-                          e=overrides.get("e", 2), n=overrides.get("n", 2))
-    if name == "thm9":
-        return suite_thm9(overrides.get("ps", (5, 7, 11)),
-                          e=overrides.get("e", 2), n=overrides.get("n", 2),
-                          budget=budget, seed=seed)
-    if name == "all":
-        reports = []
-        reports += suite_carry()
-        reports += suite_legendre()
-        reports += suite_recurrence(seed=seed)
-        reports += suite_periods()
-        reports += suite_distribution()
-        reports += suite_alpha_k(deg_g=1, f_coeffs=(8, 8, 1), budget=budget, seed=seed)
-        reports += suite_alpha_k(deg_g=2, budget=budget, seed=seed)
-        reports += suite_thm7()
-        reports += suite_thm8()
-        reports += suite_thm9(budget=budget, seed=seed)
-        return reports
-    raise InvalidInputError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    """Run a named suite, each override replacing the default of the
+    suite parameter it names; `all` runs ALL_SUITES and takes none."""
+    if name == "all" and overrides:
+        raise InvalidInputError(f"suite 'all' takes no overrides, got {sorted(overrides)}")
+    reports = []
+    for entry, kwargs in ALL_SUITES if name == "all" else ((name, overrides),):
+        if entry not in SUITES:
+            raise InvalidInputError(f"unknown suite {entry!r}; choose from {SUITE_NAMES}")
+        takes = inspect.signature(SUITES[entry]).parameters
+        shared = {k: v for k, v in (("budget", budget), ("seed", seed)) if k in takes}
+        # looked up by name, so a wrapper installed on the module attribute
+        # (a tracer or profiler) sees the call
+        reports += globals()[SUITES[entry].__name__](**kwargs, **shared)
+    return reports

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -17,12 +18,13 @@ import sys
 
 from .errors import InvalidInputError
 from .ringcore import RingContext, parse_univariate
-from .polyring import RingPolynomial, order_of_x, parse_poly_spec
+from .polyring import RingPolynomial, parse_poly_spec
 from .primitivity import (
+    DEFAULT_SEARCH_BUDGET,
     certificate_to_dict,
     certify,
     find_primitive,
-    is_primitive,
+    order_and_certificate,
 )
 from .sequences import alpha_sequence, dump_rows, generate
 from .compress import (
@@ -38,8 +40,15 @@ from . import analysis
 BUDGET_ENV = "RESIDUESEQ_BUDGET"
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok != ""]
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok != "")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def _resolve_poly(args) -> RingPolynomial:
@@ -48,7 +57,7 @@ def _resolve_poly(args) -> RingPolynomial:
     if args.p is None or args.e is None or not getattr(args, "f", None):
         raise InvalidInputError("give either --poly or all of --p, --e, --f")
     ctx = RingContext(args.p, args.e)
-    return RingPolynomial(ctx, tuple(_int_list(args.f)))
+    return RingPolynomial(ctx, tuple(ctx.check(c) for c in args.f))
 
 
 def _parse_map_spec(spec: str, p: int, e: int) -> CompressingMap:
@@ -102,10 +111,8 @@ def _write_csv(rows) -> str:
 def cmd_primitive(args) -> int:
     if args.action == "check":
         f = _resolve_poly(args)
-        period = order_of_x(f)
-        primitive = is_primitive(f)
-        if primitive:
-            cert = certify(f)
+        period, cert = order_and_certificate(f)
+        if cert is not None:
             payload = certificate_to_dict(cert)
             ok = cert.strongly_primitive if args.strong else True
         else:
@@ -122,7 +129,7 @@ def cmd_primitive(args) -> int:
     ctx = RingContext(args.p, args.e)
     cert = find_primitive(
         ctx, args.n, strongly=args.strong,
-        search_budget=args.budget or 200_000, seed=args.seed,
+        search_budget=args.budget or DEFAULT_SEARCH_BUDGET, seed=args.seed,
     )
     if cert is None:
         sys.stderr.write("no qualifying polynomial found within the budget\n")
@@ -133,8 +140,7 @@ def cmd_primitive(args) -> int:
 
 def cmd_seq(args) -> int:
     f = _resolve_poly(args)
-    init = _int_list(args.init)
-    seq = generate(f, init)
+    seq = generate(f, args.init)
     alpha = None
     phi = None
     if args.action == "alpha":
@@ -170,40 +176,55 @@ def _reports_payload(reports, fmt: str, include_timing: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _repro_line(args, report) -> str:
-    bits = [f"residueseq verify {args.suite}", f"--seed {report.seed}"]
-    for key in ("p", "e", "n"):
-        if report.params.get(key) is not None:
-            bits.append(f"--{key} {report.params[key]}")
+def _suite_overrides(args) -> dict:
+    """The suite parameters that the verify flags set. A flag the suite
+    has no parameter for is invalid input, not silently ignored."""
+    takes = () if args.suite == "all" else inspect.signature(analysis.SUITES[args.suite]).parameters
+    ps, e = args.p or (), args.e
+    offers = {  # flag: the suite parameters it can set, with their values
+        "--p": {"ps": ps, "p": ps[0]} if len(ps) == 1 else {"ps": ps} if ps else {},
+        "--e": {} if e is None else {"e": e, "es": (e,)},
+        "--n": {} if args.n is None else {"n": args.n},
+        "--f": {"f_coeffs": args.f} if args.f else {},
+        "--deg-g": {} if args.deg_g is None else {"deg_g": args.deg_g},
+        "--k": {"ks": args.k} if args.k else {},
+        "--all-eta": {"eta_sample": 0} if args.all_eta else {},
+    }
+    ignored = [flag + (" with more than one prime" if flag == "--p" and "p" in takes else "")
+               for flag, params in offers.items() if params and not params.keys() & takes]
+    if ignored:
+        raise InvalidInputError(f"verify {args.suite} does not take {', '.join(ignored)}")
+    return {k: v for params in offers.values() for k, v in params.items() if k in takes}
+
+
+def _repro_line(args, budget: int) -> str:
+    """The verify command that replays this run: the suite, every flag
+    that set a suite parameter, the seed and the budget in effect."""
+    bits = ["residueseq verify", args.suite]
+    for flag in ("p", "e", "n", "f", "deg_g", "k"):
+        value = getattr(args, flag)
+        if value not in (None, ()):
+            value = ",".join(map(str, value)) if isinstance(value, tuple) else value
+            bits.append(f"--{flag.replace('_', '-')} {value}")
+    if args.all_eta:
+        bits.append("--all-eta")
+    bits += [f"--seed {args.seed}", f"--budget {budget}"]
     return " ".join(bits)
 
 
 def cmd_verify(args) -> int:
-    overrides = {}
-    if args.p:
-        ps = tuple(_int_list(args.p))
-        overrides["ps"] = ps
-        overrides["p"] = ps[0]
-    if args.e is not None:
-        overrides["e"] = args.e
-        overrides["es"] = (args.e,)
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.f:
-        overrides["f_coeffs"] = tuple(_int_list(args.f))
-    if args.deg_g is not None:
-        overrides["deg_g"] = args.deg_g
-    if args.k:
-        overrides["ks"] = tuple(_int_list(args.k))
-    if args.all_eta:
-        overrides["eta_sample"] = 0
-    budget = args.budget or int(os.environ.get(BUDGET_ENV, analysis.DEFAULT_BUDGET))
-    reports = analysis.run_suite(args.suite, budget=budget, seed=args.seed, **overrides)
+    env = os.environ.get(BUDGET_ENV, str(analysis.DEFAULT_BUDGET))
+    try:
+        budget = args.budget or positive_int(env)
+    except ValueError:
+        raise InvalidInputError(f"${BUDGET_ENV} must be a positive integer, got {env!r}") from None
+    reports = analysis.run_suite(args.suite, budget=budget, seed=args.seed,
+                                 **_suite_overrides(args))
     _emit(_reports_payload(reports, args.format, args.timing), args.out)
     failing = [r for r in reports if not r.holds]
     for report in failing:
         sys.stderr.write(f"fails: {report.experiment}; reproduce with: "
-                         f"{_repro_line(args, report)}\n")
+                         f"{_repro_line(args, budget)}\n")
     return 1 if failing else 0
 
 
@@ -221,11 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     prim.add_argument("--p", type=int)
     prim.add_argument("--e", type=int)
     prim.add_argument("--n", type=int)
-    prim.add_argument("--f", help="comma-separated coefficients, constant first")
+    prim.add_argument("--f", type=_ints, help="comma-separated coefficients, constant first")
     prim.add_argument("--poly", help="full spec, e.g. 'p=3 e=2; f=8,8,1'")
     prim.add_argument("--strong", action="store_true")
     prim.add_argument("--seed", type=int, default=0)
-    prim.add_argument("--budget", type=int)
+    prim.add_argument("--budget", type=positive_int)
     prim.add_argument("--out")
     prim.set_defaults(func=cmd_primitive)
 
@@ -233,25 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("action", choices=("gen", "alpha", "compress"))
     seq.add_argument("--p", type=int)
     seq.add_argument("--e", type=int)
-    seq.add_argument("--f", help="comma-separated coefficients, constant first")
+    seq.add_argument("--f", type=_ints, help="comma-separated coefficients, constant first")
     seq.add_argument("--poly")
-    seq.add_argument("--init", required=True, help="comma-separated initial state")
+    seq.add_argument("--init", type=_ints, required=True, help="comma-separated initial state")
     seq.add_argument("--map", help="e.g. 'g=x^2; eta=psi(0,1)'")
     seq.add_argument("--out")
     seq.set_defaults(func=cmd_seq)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=analysis.SUITE_NAMES)
-    verify.add_argument("--p", help="comma-separated prime list")
+    verify.add_argument("--p", type=_ints, help="comma-separated prime list")
     verify.add_argument("--e", type=int)
     verify.add_argument("--n", type=int)
-    verify.add_argument("--f", help="fix the generator (comma-separated)")
+    verify.add_argument("--f", type=_ints, help="fix the generator (comma-separated)")
     verify.add_argument("--deg-g", dest="deg_g", type=int)
-    verify.add_argument("--k", help="comma-separated marker values")
+    verify.add_argument("--k", type=_ints, help="comma-separated marker values")
     verify.add_argument("--all-eta", dest="all_eta", action="store_true",
                         help="force the full eta grid where applicable")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--budget", type=int,
+    verify.add_argument("--budget", type=positive_int,
                         help=f"elementary-check budget (or ${BUDGET_ENV})")
     verify.add_argument("--format", choices=("json", "csv", "text"), default="json")
     verify.add_argument("--timing", action="store_true",

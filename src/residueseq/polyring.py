@@ -20,7 +20,6 @@ __all__ = [
     "poly_mulmod",
     "poly_powmod",
     "order_of_x",
-    "order_of_x_bruteforce",
     "ward_bound",
     "apply_poly_to_sequence",
     "with_exponent",
@@ -225,22 +224,6 @@ def order_of_x(f: RingPolynomial) -> int:
             return t
         t *= ctx.p
     raise CertificateError(f"period of {f} not of the form T1 * p^j, j < e")
-
-
-def order_of_x_bruteforce(f: RingPolynomial) -> int:
-    """Sequential-multiplication oracle for order_of_x."""
-    if not f.unit_constant_mod_p():
-        raise InvalidInputError("f(0) must be a unit mod p")
-    xe = poly_mod(x_poly(f.ctx), f)
-    unit = one(f.ctx)
-    acc = xe
-    for t in range(1, ward_bound(f) + 1):
-        if acc == unit:
-            return t
-        acc = poly_mulmod(acc, xe, f)
-    if acc == unit:
-        return ward_bound(f)
-    raise CertificateError(f"order of x mod {f} exceeds the Ward bound")
 
 
 def apply_poly_to_sequence(

@@ -9,7 +9,6 @@ degree < n; h_1 mod p decides strong primitivity.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .polyring import (
     order_of_x,
     poly_powmod,
     reduce_mod_p,
-    with_exponent,
+    ward_bound,
     x_poly,
 )
 
@@ -35,11 +34,21 @@ def _require_candidate(f: RingPolynomial) -> None:
         raise InvalidInputError("f(0) must be a unit mod p")
 
 
+def _strong(f: RingPolynomial, h1: RingPolynomial) -> bool:
+    # the strong test on a primitive f's lift polynomial h_1
+    return f.ctx.e >= 2 and reduce_mod_p(h1).degree >= 1
+
+
+def _qualifies(f: RingPolynomial, period: int, strongly: bool = False) -> bool:
+    # the primitivity predicate on period, the order of x mod f; h_1
+    # exists only for primitive f, so the strong test runs second
+    return period == ward_bound(f) and (not strongly or _strong(f, compute_h(f, 1)))
+
+
 def is_primitive(f: RingPolynomial) -> bool:
     """True iff the order of x mod f attains p^(e-1) * (p^n - 1)."""
     _require_candidate(f)
-    ctx = f.ctx
-    return order_of_x(f) == ctx.p ** (ctx.e - 1) * (ctx.p ** f.degree - 1)
+    return _qualifies(f, order_of_x(f))
 
 
 def compute_h(f: RingPolynomial, i: int) -> RingPolynomial:
@@ -69,25 +78,13 @@ def compute_h(f: RingPolynomial, i: int) -> RingPolynomial:
     return RingPolynomial(ctx, tuple(h))
 
 
-def compute_h_lifted(f: RingPolynomial, i: int) -> RingPolynomial:
-    """h_i read off the exponent-(e+1) lift of the same coefficient list.
-
-    Pins h_i down modulo p^(e+1-i), one digit more than compute_h; in
-    particular h_e becomes visible mod p. Consistent with compute_h
-    because the lifted residue reduces correctly at every lower exponent.
-    """
-    return compute_h(with_exponent(f, f.ctx.e + 1), i)
-
-
 def is_strongly_primitive(f: RingPolynomial) -> bool:
     """True iff f is primitive and its h_1 mod p has degree >= 1."""
     if f.ctx.e < 2:
         raise InvalidInputError(
             "strong primitivity needs e >= 2; h_1 is undetermined over Z/p"
         )
-    if not is_primitive(f):
-        raise InvalidInputError(f"{f} is not primitive")
-    return reduce_mod_p(compute_h(f, 1)).degree >= 1
+    return certify(f).strongly_primitive
 
 
 @dataclass(frozen=True)
@@ -103,32 +100,31 @@ class PrimitivityCertificate:
     strongly_primitive: bool
     seed: int | None = None
 
-    def h(self, i: int) -> RingPolynomial:
-        """h_i on demand, canonical within f's own ring."""
-        return compute_h(self.f, i)
 
-    def h_all(self) -> list[RingPolynomial]:
-        return [compute_h(self.f, i) for i in range(1, self.f.ctx.e + 1)]
+def order_and_certificate(
+    f: RingPolynomial, seed: int | None = None
+) -> tuple[int, PrimitivityCertificate | None]:
+    """The order of x mod f, and the certificate when that order makes f
+    primitive (None otherwise); the order is computed once."""
+    _require_candidate(f)
+    ctx = f.ctx
+    n = f.degree
+    period = order_of_x(f)
+    if not _qualifies(f, period):
+        return period, None
+    h1 = compute_h(f, 1)
+    return period, PrimitivityCertificate(
+        f=f, n=n, T=ctx.p**n - 1, period=period, h1=h1, h_f=reduce_mod_p(h1),
+        strongly_primitive=_strong(f, h1), seed=seed,
+    )
 
 
 def certify(f: RingPolynomial, seed: int | None = None) -> PrimitivityCertificate:
     """Build the certificate; raises InvalidInputError when f is not primitive."""
-    _require_candidate(f)
-    ctx = f.ctx
-    n = f.degree
-    T = ctx.p**n - 1
-    period = order_of_x(f)
-    if period != ctx.p ** (ctx.e - 1) * T:
-        raise InvalidInputError(
-            f"{f} is not primitive: period {period} != {ctx.p ** (ctx.e - 1) * T}"
-        )
-    h1 = compute_h(f, 1)
-    h_f = reduce_mod_p(h1)
-    strongly = ctx.e >= 2 and h_f.degree >= 1
-    return PrimitivityCertificate(
-        f=f, n=n, T=T, period=period, h1=h1, h_f=h_f,
-        strongly_primitive=strongly, seed=seed,
-    )
+    period, cert = order_and_certificate(f, seed)
+    if cert is None:
+        raise InvalidInputError(f"{f} is not primitive: period {period} != {ward_bound(f)}")
+    return cert
 
 
 def iter_monic_polys(ctx: RingContext, n: int):
@@ -144,13 +140,9 @@ def iter_monic_polys(ctx: RingContext, n: int):
 
 def iter_primitive(ctx: RingContext, n: int, strongly: bool = False):
     """Exhaustive stream of (strongly) primitive degree-n polynomials."""
-    target = ctx.p ** (ctx.e - 1) * (ctx.p**n - 1)
     for f in iter_monic_polys(ctx, n):
-        if order_of_x(f) != target:
-            continue
-        if strongly and not (ctx.e >= 2 and reduce_mod_p(compute_h(f, 1)).degree >= 1):
-            continue
-        yield f
+        if _qualifies(f, order_of_x(f), strongly):
+            yield f
 
 
 def find_primitive(
@@ -178,12 +170,8 @@ def find_primitive(
         if lower[0] % ctx.p == 0:
             continue
         f = RingPolynomial(ctx, tuple(lower) + (1,))
-        target = ctx.p ** (ctx.e - 1) * (ctx.p**n - 1)
-        if order_of_x(f) != target:
-            continue
-        if strongly and reduce_mod_p(compute_h(f, 1)).degree < 1:
-            continue
-        return certify(f, seed=seed)
+        if _qualifies(f, order_of_x(f), strongly):
+            return certify(f, seed=seed)
     return None
 
 
@@ -199,23 +187,3 @@ def certificate_to_dict(cert: PrimitivityCertificate) -> dict:
         "strongly_primitive": cert.strongly_primitive,
         "seed": cert.seed,
     }
-
-
-def certificate_to_json(cert: PrimitivityCertificate) -> str:
-    return json.dumps(certificate_to_dict(cert), sort_keys=True)
-
-
-def certificate_from_json(text: str) -> PrimitivityCertificate:
-    data = json.loads(text)
-    ctx = RingContext(data["p"], data["e"])
-    cert = PrimitivityCertificate(
-        f=RingPolynomial(ctx, tuple(data["f"])),
-        n=data["n"],
-        T=data["p"] ** data["n"] - 1,
-        period=data["period"],
-        h1=RingPolynomial(ctx, tuple(data["h1"])),
-        h_f=RingPolynomial(RingContext(data["p"], 1), tuple(data["h_f"])),
-        strongly_primitive=data["strongly_primitive"],
-        seed=data["seed"],
-    )
-    return cert

@@ -9,6 +9,7 @@ import itertools
 import json
 import time
 
+from oracles import compute_h_lifted, order_of_x_bruteforce
 from residueseq.ringcore import (
     RingContext,
     UnivariateFn,
@@ -19,12 +20,11 @@ from residueseq.ringcore import (
 from residueseq.polyring import (
     RingPolynomial,
     order_of_x,
-    order_of_x_bruteforce,
     poly_powmod,
     reduce_mod_p,
     x_poly,
 )
-from residueseq.primitivity import compute_h, compute_h_lifted, iter_primitive
+from residueseq.primitivity import compute_h, iter_primitive
 from residueseq.analysis import (
     construct_thm7,
     intersection_count,

@@ -156,6 +156,9 @@ def test_verify_alpha_k_preconditions():
     good = certify(FIB9)
     with pytest.raises(InvalidInputError):
         verify_alpha_k_injectivity(good, m, 0)
+    wider = CompressingMap(g=UnivariateFn(3, (0, 1)), eta=zero_poly(3, 2), e=3)
+    with pytest.raises(InvalidInputError):
+        verify_alpha_k_injectivity(good, wider, 1)
 
 
 def test_verify_alpha_k_deg1_needs_no_strong_primitivity():

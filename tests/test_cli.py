@@ -1,8 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from residueseq.cli import main, _parse_map_spec, _repro_line
+from residueseq import analysis, primitivity
+from residueseq.cli import build_parser, main, _parse_map_spec, _repro_line, _suite_overrides
 from residueseq.errors import InvalidInputError
 
 
@@ -50,6 +53,44 @@ def test_primitive_check_invalid(capsys):
     assert "invalid input" in err
     code, _, _ = run_cli(capsys, "primitive", "check", "--p", "3", "--e", "2")
     assert code == 2
+
+
+def test_primitive_check_computes_the_order_once(capsys, monkeypatch):
+    calls = []
+    order_of_x = primitivity.order_of_x
+
+    def counted(f):
+        calls.append(f)
+        return order_of_x(f)
+
+    monkeypatch.setattr(primitivity, "order_of_x", counted)
+    for coeffs, code in (("8,8,1", 0), ("8,0,1", 1)):
+        calls.clear()
+        assert run_cli(capsys, "primitive", "check", "--p", "3", "--e", "2",
+                       "--f", coeffs)[0] == code
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("primitive", "check", "--p", "3", "--e", "2", "--f", "17,-1,10"),
+    ("verify", "alpha-k", "--f", "17,-1,10", "--k", "1"),
+])
+def test_non_canonical_generator_exits_2(capsys, argv):
+    # --f is held to the same canonical residues as --poly, not reduced
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "17 is not a canonical residue modulo 9" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("primitive", "check", "--p", "3", "--e", "2", "--f", "8,x,1"),
+    ("seq", "gen", "--p", "3", "--e", "2", "--f", "8,8,1", "--init", "a"),
+])
+def test_non_integer_lists_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "invalid _ints value" in capsys.readouterr().err
 
 
 def test_primitive_find(capsys):
@@ -119,6 +160,15 @@ def test_seq_compress_works_without_primitivity(capsys):
     assert out.startswith("t,a,a0,a1,phi")
 
 
+def test_verify_all_matches_golden_report(capsys):
+    # the default report of every suite, byte for byte; a change to it on
+    # purpose regenerates tests/golden/verify_all.json and says why
+    golden = Path(__file__).parent / "golden" / "verify_all.json"
+    code, out, _ = run_cli(capsys, "verify", "all", "--seed", "0")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "legendre", "--p", "3,5")
     assert code == 0
@@ -173,6 +223,53 @@ def test_verify_budget_flag_overrides_env(capsys, monkeypatch):
     assert not any(r["sampled"] for r in json.loads(out))
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "carry", "--p", "3"),
+    ("primitive", "find", "--p", "3", "--e", "2", "--n", "2"),
+])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_budget_exits_2(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget", budget])
+    assert exc.value.code == 2
+    assert f"argument --budget: invalid positive_int value: '{budget}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_budget_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("RESIDUESEQ_BUDGET", value)
+    code, out, err = run_cli(capsys, "verify", "carry", "--p", "3")
+    assert code == 2 and out == ""
+    assert "$RESIDUESEQ_BUDGET must be a positive integer" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("verify", "all", "--p", "97", "--e", "9"), "--p, --e"),
+    (("verify", "all", "--all-eta"), "--all-eta"),
+    (("verify", "legendre", "--p", "3", "--e", "5", "--k", "1"), "--e, --k"),
+    (("verify", "periods", "--p", "3,5"), "--p with more than one prime"),
+    (("verify", "thm9", "--f", "8,8,1", "--deg-g", "2"), "--f, --deg-g"),
+])
+def test_flags_a_suite_would_ignore_exit_2(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"does not take {named}\n" in err
+
+
+@pytest.mark.parametrize("argv, overrides", [
+    (("alpha-k", "--p", "5", "--e", "2", "--n", "2", "--k", "1"),
+     {"p": 5, "e": 2, "n": 2, "ks": (1,)}),
+    (("periods", "--p", "7", "--e", "2"), {"p": 7, "es": (2,)}),
+    (("thm9", "--p", "17,19"), {"ps": (17, 19)}),
+    (("alpha-k", "--f", "8,8,1", "--deg-g", "2", "--all-eta"),
+     {"f_coeffs": (8, 8, 1), "deg_g": 2, "eta_sample": 0}),
+    (("all",), {}),
+])
+def test_flags_map_to_suite_parameters(argv, overrides):
+    args = build_parser().parse_args(["verify", *argv])
+    assert _suite_overrides(args) == overrides
+
+
 def test_verify_out_file(tmp_path, capsys):
     target = tmp_path / "reports.json"
     code, out, _ = run_cli(capsys, "verify", "carry", "--p", "3",
@@ -217,16 +314,30 @@ def test_bad_map_spec_exits_2(capsys):
 
 
 def test_repro_line_mentions_suite_and_seed():
-    from residueseq.analysis import UniformityReport
+    # the line parses back to the same suite, overrides, seed and budget
+    parser = build_parser()
+    for argv in (
+        ("thm9", "--p", "5", "--seed", "4"),
+        ("alpha-k", "--p", "3", "--e", "2", "--n", "2", "--f", "8,8,1",
+         "--deg-g", "2", "--k", "1,2", "--all-eta", "--seed", "7", "--budget", "5000"),
+        ("all",),
+    ):
+        args = parser.parse_args(["verify", *argv])
+        line = _repro_line(args, 5000)
+        assert line.startswith(f"residueseq verify {args.suite} ")
+        again = parser.parse_args(shlex.split(line)[1:])
+        assert again.suite == args.suite and again.seed == args.seed
+        assert again.budget == 5000
+        assert _suite_overrides(again) == _suite_overrides(args)
 
-    class Args:
-        suite = "thm9"
 
-    report = UniformityReport(
-        experiment="thm9", params={"p": 5, "e": 2, "n": 2}, verdict="fails",
-        witness={"s": 1}, counts={"positions": 0, "pairs": 0},
-        sampled=False, seed=4,
+def test_failing_report_prints_replay_line(capsys, monkeypatch):
+    failing = analysis.UniformityReport(
+        experiment="thm9", params={"p": 5}, verdict="fails", witness={"s": 1},
+        counts={"positions": 0, "pairs": 0}, sampled=False, seed=0,
     )
-    line = _repro_line(Args(), report)
-    assert "residueseq verify thm9" in line
-    assert "--seed 4" in line and "--p 5" in line
+    monkeypatch.setattr(analysis, "run_suite", lambda *a, **kw: [failing])
+    code, _, err = run_cli(capsys, "verify", "thm9", "--p", "5", "--budget", "77")
+    assert code == 1
+    assert err == ("fails: thm9; reproduce with: "
+                   "residueseq verify thm9 --p 5 --seed 0 --budget 77\n")

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import order_of_x_bruteforce
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext
 from residueseq.polyring import (
@@ -11,7 +12,6 @@ from residueseq.polyring import (
     format_poly_spec,
     one,
     order_of_x,
-    order_of_x_bruteforce,
     parse_poly_spec,
     poly_mulmod,
     poly_powmod,

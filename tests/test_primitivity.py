@@ -1,23 +1,21 @@
-import json
+import itertools
 
 import pytest
 
+from oracles import compute_h_lifted, order_of_x_bruteforce
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.ringcore import RingContext
 from residueseq.polyring import (
     RingPolynomial,
-    order_of_x_bruteforce,
     poly_powmod,
     reduce_mod_p,
     with_exponent,
     x_poly,
 )
 from residueseq.primitivity import (
-    certificate_from_json,
-    certificate_to_json,
+    certificate_to_dict,
     certify,
     compute_h,
-    compute_h_lifted,
     find_primitive,
     is_primitive,
     is_strongly_primitive,
@@ -93,7 +91,7 @@ def test_certify():
     assert cert.h1.coeffs == (1, 1)
     assert cert.h_f.coeffs == (1, 1)
     assert cert.strongly_primitive
-    assert [h.coeffs for h in cert.h_all()] == [(1, 1), ()]
+    assert [compute_h(cert.f, i).coeffs for i in (1, 2)] == [(1, 1), ()]
     with pytest.raises(InvalidInputError):
         certify(RingPolynomial(Z9, (8, 1)))
 
@@ -130,13 +128,8 @@ def test_reconstruction_across_grid():
                 assert RingPolynomial(ctx, tuple(expected)) == poly_powmod(x, 3 ** (i - 1) * 8, f)
 
 
-def test_certificate_json_roundtrip():
-    cert = certify(FIB9)
-    text = certificate_to_json(cert)
-    again = certificate_from_json(text)
-    assert again == cert
-    assert certificate_to_json(again) == text
-    payload = json.loads(text)
+def test_certificate_dict_fields():
+    payload = certificate_to_dict(certify(FIB9))
     assert set(payload) == {
         "p", "e", "n", "f", "period", "h1", "h_f", "strongly_primitive", "seed",
     }
@@ -167,3 +160,32 @@ def test_lift_keeps_mod_p_primitivity():
     assert poly_powmod(x_poly(f27.ctx), 8, f27) == RingPolynomial(
         f27.ctx, (1 + 3 * h1.coeff(0), 3 * h1.coeff(1))
     )
+
+
+def test_primitivity_agrees_with_sympy_over_prime_fields():
+    # independent oracle: over Z/p, f is primitive iff it is irreducible
+    # and x^((p^n - 1)/q) != 1 mod f for every prime q dividing p^n - 1
+    pytest.importorskip("sympy")
+    from sympy import factorint
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
+
+    def sympy_primitive(coeffs, p):
+        dense = list(reversed(coeffs))  # sympy lists the leading coefficient first
+        if not gf_irreducible_p(dense, p, ZZ):
+            return False
+        order = p ** (len(coeffs) - 1) - 1
+        return all(gf_pow_mod([1, 0], order // q, dense, p, ZZ) != [1]
+                   for q in factorint(order))
+
+    for p, n in ((3, 2), (5, 2), (7, 2), (3, 3)):
+        ctx = RingContext(p, 1)
+        expected = {
+            lower + (1,)
+            for lower in itertools.product(range(p), repeat=n)
+            if sympy_primitive(lower + (1,), p)
+        }
+        assert {f.coeffs for f in iter_primitive(ctx, n)} == expected
+        for f in iter_monic_polys(ctx, n):
+            assert is_primitive(f) == (f.coeffs in expected)
+        assert expected
