@@ -208,26 +208,20 @@ def s_uniform(
 # ---------------------------------------------------------------------------
 # state enumeration
 
-def primitive_states(ctx: RingContext, n: int):
-    """All initial states whose mod-p reduction is nonzero, in lex order."""
-    for state in itertools.product(range(ctx.modulus), repeat=n):
-        if any(v % ctx.p for v in state):
-            yield state
-
-
 def shift_classes(f: RingPolynomial, states=None):
     """Shift-class representatives of the sequences of f started from
-    states, by default every primitive initial state.
+    states, by default every primitive initial state (nonzero mod p).
 
     Returns (reps, index); index maps every state of those classes to
-    (class number, rotation offset), and the rotations of each rep
-    exhaust its class. Verdicts of rotation-invariant checks carry over
-    from the rep to the whole class.
+    (class number, rotation offset), and the state's sequence is
+    reps[ci].shifted(offset). Verdicts of rotation-invariant checks carry
+    over from the rep to the whole class.
     """
     reps: list[LRSequence] = []
     index: dict[tuple[int, ...], tuple[int, int]] = {}
     if states is None:
-        states = primitive_states(f.ctx, f.degree)
+        states = (st for st in itertools.product(range(f.ctx.modulus), repeat=f.degree)
+                  if any(v % f.ctx.p for v in st))
     for state in states:
         if state in index:
             continue
@@ -237,6 +231,13 @@ def shift_classes(f: RingPolynomial, states=None):
         # the states of one least period are distinct and in no earlier class
         index.update((s.state_at(t), (ci, t)) for t in range(s.period))
     return reps, index
+
+
+def _sequences(f: RingPolynomial, states=None) -> dict:
+    """The sequence of f from every state of the shift classes of states
+    (default: the primitive ones), each a rotation of its class rep."""
+    reps, index = shift_classes(f, states)
+    return {st: reps[ci].shifted(off) for st, (ci, off) in index.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +290,19 @@ def verify_alpha_k_injectivity(
     if m.g.degree >= 2 and not cert.strongly_primitive:
         raise InvalidInputError("deg g >= 2 requires a strongly primitive polynomial")
     table = value_table(m, ctx)  # also rejects a map that does not fit the ring
-    states = list(primitive_states(ctx, cert.n))
+    reps, index = shift_classes(cert.f)
+    rows = [[table[v] for v in rep.terms] for rep in reps]
+    alphas = [alpha_sequence(rep, cert) for rep in reps]
+    marks = [[t for t in range(len(row)) if alpha.at(t) == k] for row, alpha in zip(rows, alphas)]
+    # every state in lex order, with its row and k-positions (ascending t)
+    # rotated from its class rep's
+    states = sorted(index)
     compressed = []
     positions = []
     for state in states:
-        seq = generate(cert.f, state)
-        alpha = alpha_sequence(seq, cert)
-        compressed.append([table[v] for v in seq.terms])
-        positions.append([t for t in range(seq.period) if alpha.at(t) == k])
+        ci, r = index[state]
+        compressed.append(rows[ci][r:] + rows[ci][:r])
+        positions.append(sorted((t - r) % len(rows[ci]) for t in marks[ci]))
 
     total = len(states)
     avg = max(1, sum(len(ps) for ps in positions) // max(1, total))
@@ -447,7 +453,7 @@ def count_uniform_s(
     if sampled:
         rng = random.Random(seed)
         states = sorted(rng.sample(sorted(index), max(1, budget // (period * p))))
-        seqs = [generate(cert.f, st) for st in states]
+        seqs = [reps[ci].shifted(off) for ci, off in (index[st] for st in states)]
         pairs = len(seqs)
     else:
         seqs = reps
@@ -543,11 +549,7 @@ def suite_recurrence(
     p: int = 3, n: int = 2, es=(2, 3, 4), num_states: int = 10, seed: int = 0
 ) -> list[UniformityReport]:
     """Shift and carry expansion identities over seeded primitive states,
-    for every j in [0, p).
-
-    If the carry identity fails under the primary reading, the nested
-    fallback reading is tried and flagged in the report parameters.
-    """
+    for every j in [0, p)."""
     reports = []
     for e in es:
         started = time.perf_counter()
@@ -558,7 +560,6 @@ def suite_recurrence(
         rng = random.Random(seed)
         states = _sample_primitive_states(ctx, n, num_states, rng)
         witness = None
-        fallback = False
         positions = 0
         for state in states:
             seq = generate(cert.f, state)
@@ -573,17 +574,15 @@ def suite_recurrence(
                     positions += seq.period
                     t = carry_identity_check(seq, cert, j)
                     if t is not None:
-                        fallback = True
-                        t_nested = carry_identity_check(seq, cert, j, nested=True)
-                        if t_nested is not None:
-                            witness = {"state": list(state), "j": j, "t": t_nested,
-                                       "identity": "carry"}
-                            break
+                        witness = {"state": list(state), "j": j, "t": t,
+                                   "identity": "carry"}
+                        break
             if witness:
                 break
         params = {
             "p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f),
-            "states": len(states), "j_max": p - 1, "fallback_reading": fallback,
+            # a constant: the golden report and the benchmark digests pin it
+            "states": len(states), "j_max": p - 1, "fallback_reading": False,
         }
         counts = {"positions": positions, "pairs": len(states)}
         reports.append(_report("recurrence", params, witness, counts, False, seed, started))
@@ -660,13 +659,14 @@ def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityRep
     witness = None
     cells = 0
     for f in iter_primitive(ctx1, n):
-        states = list(itertools.product(range(p), repeat=n))
+        seqs = _sequences(f, itertools.product(range(p), repeat=n))
+        states = sorted(seqs)
         for sa in states:
-            a = level_sequence(p, generate(f, sa).terms)
+            a = level_sequence(p, seqs[sa].terms)
             for sb in states:
                 if all(v == 0 for v in sb):
                     continue
-                b = level_sequence(p, generate(f, sb).terms)
+                b = level_sequence(p, seqs[sb].terms)
                 lam = _proportional(a, b, p)
                 for k in range(p):
                     if lam is None and k == 0:
@@ -701,13 +701,11 @@ def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityRep
     cells = 0
     for f in itertools.islice(iter_primitive(ctx, n), 2):
         f1 = RingPolynomial(ctx1, tuple(c % p for c in f.coeffs))
-        gammas = [
-            level_sequence(p, generate(f1, gs).terms)
-            for gs in itertools.product(range(p), repeat=n)
-            if any(gs)
-        ]
-        for c_state in itertools.product(range(ctx.modulus), repeat=n):
-            c_seq = generate(f, c_state)
+        g_seqs = _sequences(f1, (gs for gs in itertools.product(range(p), repeat=n) if any(gs)))
+        gammas = [level_sequence(p, g_seqs[gs].terms) for gs in sorted(g_seqs)]
+        c_seqs = _sequences(f, itertools.product(range(ctx.modulus), repeat=n))
+        for c_state in sorted(c_seqs):
+            c_seq = c_seqs[c_state]
             c_top = level(c_seq, e - 1)
             lower_zero = all(level(c_seq, i).is_zero() for i in range(e - 1))
             for gamma in gammas:
@@ -741,8 +739,8 @@ def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityRep
     cells = 0
     for f in itertools.islice(iter_primitive(ctx, n, strongly=True), 2):
         cert = certify(f)
-        states = list(primitive_states(ctx, n))
-        seqs = {st: generate(f, st) for st in states}
+        seqs = _sequences(f)
+        states = sorted(seqs)
         alphas = {st: alpha_sequence(seqs[st], cert) for st in states}
         for sa in states:
             a_top = level(seqs[sa], e - 1)
@@ -789,9 +787,10 @@ def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityRep
     return reports
 
 
-def _eta_grid(p: int, e: int, sample: int, seed: int):
-    """Canonical eta polynomials: the full table space when it is small
-    (all p^p functions at e = 2), a seeded sample of tables otherwise."""
+def _eta_grid(p: int, e: int, seed: int):
+    """Canonical eta polynomials: the full table space when it has at most
+    1000 tables (all p^p functions at e = 2), a seeded sample of 27
+    tables otherwise."""
     arity = e - 1
     size = p**arity
     if p**size <= 1000:
@@ -799,7 +798,7 @@ def _eta_grid(p: int, e: int, sample: int, seed: int):
             yield from_table(p, arity, values)
         return
     rng = random.Random(seed)
-    for _ in range(sample):
+    for _ in range(27):
         yield from_table(p, arity, [rng.randrange(p) for _ in range(size)])
 
 
@@ -810,7 +809,6 @@ def suite_alpha_k(
     f_coeffs=None,
     deg_g: int = 1,
     ks=None,
-    eta_sample: int = 27,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> list[UniformityReport]:
@@ -823,15 +821,11 @@ def suite_alpha_k(
         cert = certify(RingPolynomial(ctx, tuple(ctx.check(c) for c in f_coeffs)))
     else:
         cert = find_primitive(ctx, n, strongly=deg_g >= 2)
-        if cert is None and deg_g >= 2:
-            cert = find_primitive(RingContext(p, e), n + 1, strongly=True)
         if cert is None:
-            raise InvalidInputError(f"no qualifying polynomial for p={p}, e={e}")
-    if deg_g >= 2 and not cert.strongly_primitive:
-        raise InvalidInputError("deg g >= 2 requires a strongly primitive f")
+            raise InvalidInputError(f"no qualifying polynomial for p={p}, e={e}, n={n}")
     ks = tuple(ks) if ks else tuple(range(1, p))
     reports = []
-    for eta in _eta_grid(p, e, eta_sample, seed):
+    for eta in _eta_grid(p, e, seed):
         m = CompressingMap(g=g, eta=eta, e=e)
         for k in ks:
             reports.append(verify_alpha_k_injectivity(cert, m, k, budget, seed))

@@ -44,6 +44,20 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
+# the verify flags that set suite parameters: flag -> (argparse type, help,
+# the parameters its value can set; a suite takes those it has). The
+# parser, the flag check and the replay line all read this one table.
+SUITE_FLAGS = {
+    "--p": (_ints, "comma-separated prime list",
+            lambda ps: {"ps": ps, "p": ps[0]} if len(ps) == 1 else {"ps": ps}),
+    "--e": (int, None, lambda e: {"e": e, "es": (e,)}),
+    "--n": (int, None, lambda n: {"n": n}),
+    "--f": (_ints, "fix the generator (comma-separated)", lambda f: {"f_coeffs": f}),
+    "--deg-g": (int, None, lambda deg_g: {"deg_g": deg_g}),
+    "--k": (_ints, "comma-separated marker values", lambda ks: {"ks": ks}),
+}
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -74,11 +88,17 @@ def _parse_map_spec(spec: str, p: int, e: int) -> CompressingMap:
         elif part.startswith("eta="):
             body = part[4:].strip()
             if body.startswith("psi(") and body.endswith(")"):
-                z, w = (int(v) for v in body[4:-1].split(","))
+                try:
+                    z, w = (int(v) for v in body[4:-1].split(","))
+                except ValueError:
+                    raise InvalidInputError(f"psi takes two integers z,w, got {body!r}") from None
                 eta = psi_zw(p, e, z, w)
             elif body.startswith("table@"):
-                with open(body[6:], "r", encoding="utf-8") as fh:
-                    eta = multipoly_from_json(fh.read())
+                try:
+                    with open(body[6:], "r", encoding="utf-8") as fh:
+                        eta = multipoly_from_json(fh.read())
+                except (OSError, ValueError, KeyError, TypeError) as exc:
+                    raise InvalidInputError(f"unreadable eta table {body[6:]!r}: {exc!r}") from None
             elif body == "0":
                 eta = zero_poly(p, e - 1)
             else:
@@ -176,20 +196,19 @@ def _reports_payload(reports, fmt: str, include_timing: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flags_given(args):
+    """(flag, value) for each SUITE_FLAGS flag given a value, in table order."""
+    for flag in SUITE_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value not in (None, ()):
+            yield flag, value
+
+
 def _suite_overrides(args) -> dict:
     """The suite parameters that the verify flags set. A flag the suite
     has no parameter for is invalid input, not silently ignored."""
     takes = () if args.suite == "all" else inspect.signature(analysis.SUITES[args.suite]).parameters
-    ps, e = args.p or (), args.e
-    offers = {  # flag: the suite parameters it can set, with their values
-        "--p": {"ps": ps, "p": ps[0]} if len(ps) == 1 else {"ps": ps} if ps else {},
-        "--e": {} if e is None else {"e": e, "es": (e,)},
-        "--n": {} if args.n is None else {"n": args.n},
-        "--f": {"f_coeffs": args.f} if args.f else {},
-        "--deg-g": {} if args.deg_g is None else {"deg_g": args.deg_g},
-        "--k": {"ks": args.k} if args.k else {},
-        "--all-eta": {"eta_sample": 0} if args.all_eta else {},
-    }
+    offers = {flag: SUITE_FLAGS[flag][2](value) for flag, value in _flags_given(args)}
     ignored = [flag + (" with more than one prime" if flag == "--p" and "p" in takes else "")
                for flag, params in offers.items() if params and not params.keys() & takes]
     if ignored:
@@ -201,13 +220,9 @@ def _repro_line(args, budget: int) -> str:
     """The verify command that replays this run: the suite, every flag
     that set a suite parameter, the seed and the budget in effect."""
     bits = ["residueseq verify", args.suite]
-    for flag in ("p", "e", "n", "f", "deg_g", "k"):
-        value = getattr(args, flag)
-        if value not in (None, ()):
-            value = ",".join(map(str, value)) if isinstance(value, tuple) else value
-            bits.append(f"--{flag.replace('_', '-')} {value}")
-    if args.all_eta:
-        bits.append("--all-eta")
+    for flag, value in _flags_given(args):
+        value = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        bits.append(f"{flag} {value}")
     bits += [f"--seed {args.seed}", f"--budget {budget}"]
     return " ".join(bits)
 
@@ -263,14 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=analysis.SUITE_NAMES)
-    verify.add_argument("--p", type=_ints, help="comma-separated prime list")
-    verify.add_argument("--e", type=int)
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--f", type=_ints, help="fix the generator (comma-separated)")
-    verify.add_argument("--deg-g", dest="deg_g", type=int)
-    verify.add_argument("--k", type=_ints, help="comma-separated marker values")
-    verify.add_argument("--all-eta", dest="all_eta", action="store_true",
-                        help="force the full eta grid where applicable")
+    for flag, (kind, help_text, _) in SUITE_FLAGS.items():
+        verify.add_argument(flag, type=kind, help=help_text)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--budget", type=positive_int,
                         help=f"elementary-check budget (or ${BUDGET_ENV})")
@@ -287,10 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidInputError, FileNotFoundError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
 

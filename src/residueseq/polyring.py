@@ -226,34 +226,19 @@ def order_of_x(f: RingPolynomial) -> int:
     raise CertificateError(f"period of {f} not of the form T1 * p^j, j < e")
 
 
-def apply_poly_to_sequence(
-    g: RingPolynomial, terms, period: int | None = None
-) -> list[int]:
+def apply_poly_to_sequence(g: RingPolynomial, terms, period: int) -> list[int]:
     """Pointwise sum of g's coefficients against shifts of the sequence.
 
-    With a declared period the shifts wrap and the output covers one full
-    input window; without one the output is shorter by deg g.
+    The shifts wrap at the declared period and the output covers one full
+    input window.
     """
     terms = list(terms)
     m = g.ctx.modulus
-    if g.is_zero():
-        return [0] * len(terms)
-    d = g.degree
-    if period is not None:
-        if period <= 0 or len(terms) < period:
-            raise InvalidInputError("declared period must fit inside the terms given")
-        return [
-            sum(c * terms[(t + k) % period] for k, c in enumerate(g.coeffs)) % m
-            for t in range(len(terms))
-        ]
-    if len(terms) < d + 1:
-        raise InvalidInputError(
-            f"sequence of length {len(terms)} is too short for degree {d} "
-            "and no period was declared"
-        )
+    if period <= 0 or len(terms) < period:
+        raise InvalidInputError("declared period must fit inside the terms given")
     return [
-        sum(c * terms[t + k] for k, c in enumerate(g.coeffs)) % m
-        for t in range(len(terms) - d)
+        sum(c * terms[(t + k) % period] for k, c in enumerate(g.coeffs)) % m
+        for t in range(len(terms))
     ]
 
 

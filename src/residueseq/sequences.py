@@ -36,6 +36,12 @@ class LRSequence:
         n = self.f.degree
         return tuple(self.at(t + k) for k in range(n))
 
+    def shifted(self, r: int) -> "LRSequence":
+        """The same terms rotated by r: equals generate(f, state_at(r))."""
+        r %= self.period
+        return LRSequence(f=self.f, initial_state=self.state_at(r),
+                          terms=self.terms[r:] + self.terms[:r], period=self.period)
+
 
 @dataclass(frozen=True)
 class LevelSequence:
@@ -169,7 +175,7 @@ def shift_identity_check(
 
 
 def carry_identity_check(
-    s: LRSequence, cert: PrimitivityCertificate, j: int, nested: bool = False
+    s: LRSequence, cert: PrimitivityCertificate, j: int
 ) -> int | None:
     """First t violating the carry expansion identity, or None.
 
@@ -177,8 +183,7 @@ def carry_identity_check(
     lower-level data: a linear term from h_f acting on level 1, the digit-1
     carry of j times h_{e-2} acting on the embedded level 0, the carry of
     the level-(e-2) increment, and (only for e = 3) a binomial(j, 2)
-    second-order term. `nested` switches to the alternative reading that
-    feeds the increment carry into the digit-1 extraction.
+    second-order term.
     """
     _check_same_generator(s, cert)
     ctx = s.f.ctx
@@ -208,10 +213,7 @@ def carry_identity_check(
         inc = j * alpha.at(t) % p
         inc_carry = carry_c1(low.at(t) + inc, p)
         jdeep = j * deep[t % a0.period] % m
-        if nested:
-            rhs = j * hf_a1.at(t) + carry_c1(jdeep + inc_carry, p)
-        else:
-            rhs = j * hf_a1.at(t) + carry_c1(jdeep, p) + inc_carry
+        rhs = j * hf_a1.at(t) + carry_c1(jdeep, p) + inc_carry
         if e == 3:
             rhs += binom * hf2_a0.at(t)
         if lhs != rhs % p:

@@ -1,5 +1,11 @@
 """Slow reference implementations that the tests compare the package against."""
 
+import itertools
+import random
+import time
+
+from residueseq.analysis import DEFAULT_BUDGET, _fmt_coeffs, _report
+from residueseq.compress import format_multipoly, value_table
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.polyring import (
     RingPolynomial,
@@ -11,6 +17,8 @@ from residueseq.polyring import (
     x_poly,
 )
 from residueseq.primitivity import compute_h
+from residueseq.ringcore import format_univariate
+from residueseq.sequences import alpha_sequence, generate
 
 
 def order_of_x_bruteforce(f: RingPolynomial) -> int:
@@ -37,3 +45,66 @@ def compute_h_lifted(f: RingPolynomial, i: int) -> RingPolynomial:
     because the lifted residue reduces correctly at every lower exponent.
     """
     return compute_h(with_exponent(f, f.ctx.e + 1), i)
+
+
+def verify_alpha_k_injectivity_per_state(cert, m, k, budget=DEFAULT_BUDGET, seed=0):
+    """verify_alpha_k_injectivity with every primitive state's sequence,
+    alpha markers and compressed row built from scratch by generate."""
+    started = time.perf_counter()
+    ctx = cert.f.ctx
+    p = ctx.p
+    k %= p
+    if k == 0:
+        raise InvalidInputError("k must be nonzero")
+    if m.g.degree >= 2 and not cert.strongly_primitive:
+        raise InvalidInputError("deg g >= 2 requires a strongly primitive polynomial")
+    table = value_table(m, ctx)
+    states = [st for st in itertools.product(range(ctx.modulus), repeat=cert.n)
+              if any(v % p for v in st)]
+    compressed = []
+    positions = []
+    for state in states:
+        seq = generate(cert.f, state)
+        alpha = alpha_sequence(seq, cert)
+        compressed.append([table[v] for v in seq.terms])
+        positions.append([t for t in range(seq.period) if alpha.at(t) == k])
+
+    total = len(states)
+    avg = max(1, sum(len(ps) for ps in positions) // max(1, total))
+    sampled = total * total * avg > budget
+    if sampled:
+        rng = random.Random(seed)
+        want = max(1, budget // avg)
+        pair_space = sorted(
+            (rng.randrange(total), rng.randrange(total)) for _ in range(want)
+        )
+    else:
+        pair_space = itertools.product(range(total), repeat=2)
+
+    witness = None
+    checked = 0
+    pairs = 0
+    for ia, ib in pair_space:
+        pairs += 1
+        ca, cb = compressed[ia], compressed[ib]
+        agree = True
+        for t in positions[ia]:
+            checked += 1
+            if ca[t % len(ca)] != cb[t % len(cb)]:
+                agree = False
+                break
+        if agree and states[ia] != states[ib]:
+            witness = {"a_state": list(states[ia]), "b_state": list(states[ib]), "k": k}
+            break
+
+    params = {
+        "p": p,
+        "e": ctx.e,
+        "n": cert.n,
+        "f": _fmt_coeffs(cert.f),
+        "g": format_univariate(m.g),
+        "eta": format_multipoly(m.eta),
+        "k": k,
+    }
+    counts = {"positions": checked, "pairs": pairs}
+    return _report("alpha-k", params, witness, counts, sampled, seed, started)

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from oracles import verify_alpha_k_injectivity_per_state
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn
 from residueseq.polyring import RingPolynomial
@@ -195,6 +197,42 @@ def test_verify_alpha_k_sampled_budget():
     assert report.holds
     again = verify_alpha_k_injectivity(cert, m, 1, budget=100, seed=3)
     assert report.to_dict() == again.to_dict()
+
+
+def test_verify_alpha_k_matches_per_state_oracle_on_forced_failures():
+    # the rotation-built scan against the per-state one, on holding and
+    # failing cells: g = x^2 over the non-strong 2,2,1, forced through
+    # the strong-primitivity guard, fails 18 of its 54 cells
+    weak = certify(RingPolynomial(Z9, (2, 2, 1)))
+    assert not weak.strongly_primitive
+    forced = dataclasses.replace(weak, strongly_primitive=True)
+    fails = 0
+    for table in itertools.product(range(3), repeat=3):
+        m = CompressingMap(g=UnivariateFn(3, (0, 0, 1)), eta=from_table(3, 1, table), e=2)
+        for k in (1, 2):
+            fast = verify_alpha_k_injectivity(forced, m, k)
+            assert fast.to_dict() == verify_alpha_k_injectivity_per_state(forced, m, k).to_dict()
+            fails += not fast.holds
+    assert fails == 18
+
+
+def test_verify_alpha_k_matches_per_state_oracle_sampled_and_p5():
+    ctx = RingContext(5, 2)
+    eta = from_table(5, 1, (3, 0, 2, 2, 4))
+    cases = (
+        (certify(FIB9), CompressingMap(g=UnivariateFn(3, (0, 1)), eta=zero_poly(3, 1), e=2),
+         1, 100, 3),
+        (find_primitive(ctx, 2), CompressingMap(g=UnivariateFn(5, (0, 1)), eta=eta, e=2),
+         2, analysis.DEFAULT_BUDGET, 0),
+        (find_primitive(ctx, 2, strongly=True),
+         CompressingMap(g=UnivariateFn(5, (0, 0, 0, 1)), eta=eta, e=2),
+         1, analysis.DEFAULT_BUDGET, 0),
+    )
+    for cert, m, k, budget, seed in cases:
+        fast = verify_alpha_k_injectivity(cert, m, k, budget, seed)
+        assert fast.sampled == (budget == 100)
+        slow = verify_alpha_k_injectivity_per_state(cert, m, k, budget, seed)
+        assert fast.to_dict() == slow.to_dict()
 
 
 def test_construct_thm7():

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -245,7 +246,7 @@ def test_bad_budget_env_exits_2(capsys, monkeypatch, value):
 
 @pytest.mark.parametrize("argv, named", [
     (("verify", "all", "--p", "97", "--e", "9"), "--p, --e"),
-    (("verify", "all", "--all-eta"), "--all-eta"),
+    (("verify", "carry", "--p", "3", "--n", "2"), "--n"),
     (("verify", "legendre", "--p", "3", "--e", "5", "--k", "1"), "--e, --k"),
     (("verify", "periods", "--p", "3,5"), "--p with more than one prime"),
     (("verify", "thm9", "--f", "8,8,1", "--deg-g", "2"), "--f, --deg-g"),
@@ -261,13 +262,30 @@ def test_flags_a_suite_would_ignore_exit_2(capsys, argv, named):
      {"p": 5, "e": 2, "n": 2, "ks": (1,)}),
     (("periods", "--p", "7", "--e", "2"), {"p": 7, "es": (2,)}),
     (("thm9", "--p", "17,19"), {"ps": (17, 19)}),
-    (("alpha-k", "--f", "8,8,1", "--deg-g", "2", "--all-eta"),
-     {"f_coeffs": (8, 8, 1), "deg_g": 2, "eta_sample": 0}),
+    (("alpha-k", "--f", "8,8,1", "--deg-g", "2"),
+     {"f_coeffs": (8, 8, 1), "deg_g": 2}),
     (("all",), {}),
 ])
 def test_flags_map_to_suite_parameters(argv, overrides):
     args = build_parser().parse_args(["verify", *argv])
     assert _suite_overrides(args) == overrides
+
+
+def test_all_eta_flag_is_gone(capsys):
+    # the eta grid is fixed by its size; no flag widens it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "alpha-k", "--p", "5", "--e", "2", "--all-eta"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --all-eta" in capsys.readouterr().err
+
+
+def test_alpha_k_without_strong_generator_exits_2(capsys):
+    # deg g = 2 needs a strongly primitive f of degree n; there is none of
+    # degree 1 over Z/9, and the suite does not move to degree 2 instead
+    code, out, err = run_cli(capsys, "verify", "alpha-k", "--p", "3", "--e", "2",
+                             "--n", "1", "--deg-g", "2")
+    assert code == 2 and out == ""
+    assert "no qualifying polynomial for p=3, e=2, n=1" in err
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -306,11 +324,34 @@ def test_map_spec_table_file(tmp_path):
     assert m.eta.table() == (0, 1, 1)
 
 
-def test_bad_map_spec_exits_2(capsys):
-    code, _, err = run_cli(capsys, "seq", "compress", "--p", "3", "--e", "2",
-                           "--f", "8,8,1", "--init", "0,1", "--map", "eta=psi(0,1)")
-    assert code == 2
-    assert "invalid input" in err
+def test_bad_map_spec_exits_2(capsys, tmp_path):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"p": 3,')
+    no_vars = tmp_path / "no_vars.json"
+    no_vars.write_text('{"p": 3, "values": [0, 1, 1]}')
+    for spec in ("eta=psi(0,1)", "g=x; eta=psi(0)", "g=x; eta=psi(a,b)",
+                 f"g=x; eta=table@{bad_json}", f"g=x; eta=table@{no_vars}",
+                 f"g=x; eta=table@{tmp_path}", f"g=x; eta=table@{tmp_path / 'missing.json'}"):
+        code, out, err = run_cli(capsys, "seq", "compress", "--p", "3", "--e", "2",
+                                 "--f", "8,8,1", "--init", "0,1", "--map", spec)
+        assert code == 2 and out == "", spec
+        assert err.startswith("invalid input: "), spec
+
+
+def test_readme_commands_parse():
+    # every `residueseq ...` command in README.md is one the CLI accepts,
+    # so a removed or renamed flag cannot linger in an example
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = [line.split(" #")[0] for line in readme.splitlines()
+                if line.startswith("residueseq ")]
+    commands += re.findall(r"`(residueseq [^`]+)`", readme)
+    assert len(commands) >= 10
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_repro_line_mentions_suite_and_seed():
@@ -319,7 +360,7 @@ def test_repro_line_mentions_suite_and_seed():
     for argv in (
         ("thm9", "--p", "5", "--seed", "4"),
         ("alpha-k", "--p", "3", "--e", "2", "--n", "2", "--f", "8,8,1",
-         "--deg-g", "2", "--k", "1,2", "--all-eta", "--seed", "7", "--budget", "5000"),
+         "--deg-g", "2", "--k", "1,2", "--seed", "7", "--budget", "5000"),
         ("all",),
     ):
         args = parser.parse_args(["verify", *argv])

@@ -140,13 +140,6 @@ def test_apply_poly_examples():
     assert got == [1, 2, 0, 2, 2, 1, 0, 1]
 
 
-def test_apply_poly_without_period():
-    g = RingPolynomial(Z3, (1, 1))
-    assert apply_poly_to_sequence(g, [0, 1, 1, 2]) == [1, 2, 0]
-    with pytest.raises(InvalidInputError):
-        apply_poly_to_sequence(RingPolynomial(Z3, (0, 0, 1)), [0, 1])
-
-
 def test_apply_poly_linearity():
     g = RingPolynomial(Z9, (2, 5, 1))
     s = [1, 4, 7, 2, 0, 8]

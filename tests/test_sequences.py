@@ -47,6 +47,16 @@ def test_generate_zero_state():
     assert s.period == 1
 
 
+def test_shifted_equals_generate_from_the_rotated_state():
+    # primitive and non-primitive states over Z/9, and the zero state
+    # over Z/3, whose period 1 is below the degree
+    for f, init in ((FIB9, (0, 1)), (FIB9, (3, 6)), (FIB9, (0, 0)), (FIB3, (0, 0)),
+                    (FIB3, (2, 1))):
+        s = generate(f, init)
+        for r in range(-1, 2 * s.period + 1):
+            assert s.shifted(r) == generate(f, s.state_at(r))
+
+
 def test_generate_errors():
     with pytest.raises(InvalidInputError):
         generate(FIB9, (0, 1, 2))
@@ -152,17 +162,6 @@ def test_carry_identity_e3():
         assert verify_recurring_identities(s, cert, j)
     with pytest.raises(InvalidInputError):
         carry_identity_check(generate(FIB9, (0, 1)), certify(FIB9), 1)
-
-
-def test_carry_identity_nested_reading_differs():
-    # the fallback reading is a genuinely different formula: it moves the
-    # increment carry inside the digit-1 extraction and fails where the
-    # primary reading holds
-    f27 = with_exponent(FIB9, 3)
-    cert = certify(f27)
-    s = generate(f27, (0, 1))
-    assert carry_identity_check(s, cert, 1) is None
-    assert carry_identity_check(s, cert, 1, nested=True) is not None
 
 
 def test_dump_rows_columns():
