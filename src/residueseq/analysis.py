@@ -233,9 +233,9 @@ def shift_classes(f: RingPolynomial, states=None):
     return reps, index
 
 
-def _sequences(f: RingPolynomial, states=None) -> dict:
-    """The sequence of f from every state of the shift classes of states
-    (default: the primitive ones), each a rotation of its class rep."""
+def _sequences(f: RingPolynomial, states) -> dict:
+    """The sequence of f from every state of the shift classes of states,
+    each a rotation of its class rep."""
     reps, index = shift_classes(f, states)
     return {st: reps[ci].shifted(off) for st, (ci, off) in index.items()}
 
@@ -322,15 +322,14 @@ def verify_alpha_k_injectivity(
     for ia, ib in pair_space:
         pairs += 1
         ca, cb = compressed[ia], compressed[ib]
-        agree = True
         for t in positions[ia]:
             checked += 1
             if ca[t % len(ca)] != cb[t % len(cb)]:
-                agree = False
                 break
-        if agree and states[ia] != states[ib]:
-            witness = {"a_state": list(states[ia]), "b_state": list(states[ib]), "k": k}
-            break
+        else:
+            if states[ia] != states[ib]:
+                witness = {"a_state": list(states[ia]), "b_state": list(states[ib]), "k": k}
+                break
 
     params = {
         "p": p,
@@ -533,16 +532,40 @@ def suite_legendre(ps=(3, 5, 7, 11, 13)) -> list[UniformityReport]:
     return reports
 
 
+def _generator(ctx: RingContext, n: int, strongly: bool = False) -> PrimitivityCertificate:
+    """The first qualifying generator of degree n over ctx."""
+    cert = find_primitive(ctx, n, strongly=strongly)
+    if cert is None:
+        raise InvalidInputError(f"no qualifying polynomial for p={ctx.p}, e={ctx.e}, n={n}")
+    return cert
+
+
 def _sample_primitive_states(ctx: RingContext, n: int, count: int, rng: random.Random):
-    states = []
-    seen = set()
+    # there are p^(en) - p^((e-1)n) primitive states; draw all of them if fewer
+    count = min(count, ctx.modulus**n - (ctx.modulus // ctx.p) ** n)
+    states = {}  # in order of first draw
     while len(states) < count:
         state = tuple(rng.randrange(ctx.modulus) for _ in range(n))
-        if state in seen or not any(v % ctx.p for v in state):
-            continue
-        seen.add(state)
-        states.append(state)
-    return states
+        if any(v % ctx.p for v in state):
+            states[state] = None
+    return list(states)
+
+
+def _recurrence_failure(seqs, cert, p, e):
+    """First (sequence, j) breaking the shift identity, or for e >= 3 the
+    carry identity, as (witness or None, positions compared)."""
+    # the carry identity needs e >= 3
+    checks = (("shift", shift_identity_check), ("carry", carry_identity_check))[:2 if e >= 3 else 1]
+    positions = 0
+    for seq in seqs:
+        for j in range(p):
+            for identity, check in checks:
+                positions += seq.period
+                t = check(seq, cert, j)
+                if t is not None:
+                    return {"state": list(seq.initial_state), "j": j, "t": t,
+                            "identity": identity}, positions
+    return None, positions
 
 
 def suite_recurrence(
@@ -554,31 +577,10 @@ def suite_recurrence(
     for e in es:
         started = time.perf_counter()
         ctx = RingContext(p, e)
-        cert = find_primitive(ctx, n)
-        if cert is None:
-            raise InvalidInputError(f"no primitive polynomial for p={p}, e={e}, n={n}")
-        rng = random.Random(seed)
-        states = _sample_primitive_states(ctx, n, num_states, rng)
-        witness = None
-        positions = 0
-        for state in states:
-            seq = generate(cert.f, state)
-            for j in range(p):
-                positions += seq.period
-                t = shift_identity_check(seq, cert, j)
-                if t is not None:
-                    witness = {"state": list(state), "j": j, "t": t,
-                               "identity": "shift"}
-                    break
-                if e >= 3:
-                    positions += seq.period
-                    t = carry_identity_check(seq, cert, j)
-                    if t is not None:
-                        witness = {"state": list(state), "j": j, "t": t,
-                                   "identity": "carry"}
-                        break
-            if witness:
-                break
+        cert = _generator(ctx, n)
+        states = _sample_primitive_states(ctx, n, num_states, random.Random(seed))
+        witness, positions = _recurrence_failure(
+            (generate(cert.f, state) for state in states), cert, p, e)
         params = {
             "p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f),
             # a constant: the golden report and the benchmark digests pin it
@@ -589,43 +591,37 @@ def suite_recurrence(
     return reports
 
 
+def _period_failure(ctx: RingContext, n: int):
+    """First shift class of a primitive f of degree n, over all states,
+    whose period or level periods break the period laws, as (witness or
+    None, classes checked, generators reached)."""
+    p, e = ctx.p, ctx.e
+    T = p**n - 1
+    orbits = generators = 0
+    for f in iter_primitive(ctx, n):
+        generators += 1
+        for seq in shift_classes(f, itertools.product(range(ctx.modulus), repeat=n))[0]:
+            orbits += 1
+            levels = [level(seq, i) for i in range(e)]
+            lowest = next((i for i, lvl in enumerate(levels) if not lvl.is_zero()), None)
+            expected = 1 if lowest is None else p ** (e - 1 - lowest) * T
+            if seq.period != expected:
+                return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state),
+                         "period": seq.period, "expected": expected}, orbits, generators)
+            for i, lvl in enumerate(levels if lowest == 0 else ()):
+                if lvl.period != p**i * T:
+                    return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state), "level": i,
+                             "period": lvl.period, "expected": p**i * T}, orbits, generators)
+    return None, orbits, generators
+
+
 def suite_periods(p: int = 3, n: int = 2, es=(2, 3)) -> list[UniformityReport]:
     """Period laws for every primitive f and every state, via one
     representative per shift orbit (periods are rotation-invariant)."""
     reports = []
     for e in es:
         started = time.perf_counter()
-        ctx = RingContext(p, e)
-        T = p**n - 1
-        witness = None
-        orbits = 0
-        num_f = 0
-        for f in iter_primitive(ctx, n):
-            num_f += 1
-            every_state = itertools.product(range(ctx.modulus), repeat=n)
-            for seq in shift_classes(f, every_state)[0]:
-                orbits += 1
-                lowest = next(
-                    (i for i in range(e) if not level(seq, i).is_zero()), None
-                )
-                expected = 1 if lowest is None else p ** (e - 1 - lowest) * T
-                if seq.period != expected:
-                    witness = {"f": _fmt_coeffs(f), "state": list(seq.initial_state),
-                               "period": seq.period, "expected": expected}
-                    break
-                if lowest == 0:
-                    for i in range(e):
-                        if level(seq, i).period != p**i * T:
-                            witness = {"f": _fmt_coeffs(f),
-                                       "state": list(seq.initial_state),
-                                       "level": i,
-                                       "period": level(seq, i).period,
-                                       "expected": p**i * T}
-                            break
-                    if witness:
-                        break
-            if witness:
-                break
+        witness, orbits, num_f = _period_failure(RingContext(p, e), n)
         params = {"p": p, "e": e, "n": n, "generators": num_f}
         counts = {"positions": orbits, "pairs": num_f}
         reports.append(_report("periods", params, witness, counts, False, 0, started))
@@ -646,66 +642,44 @@ def _proportional(u: LevelSequence, v: LevelSequence, p: int) -> int | None:
     return None
 
 
-def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityReport]:
-    """Value-distribution laws for m-sequence pairs, the top-level value
-    sets of a recurring sequence at marked positions, and proportional
-    markers forcing equal lower levels."""
-    reports = []
-
-    # m-sequence pairs over Z/p: dependent pairs give a singleton value
-    # set, independent pairs reach every value at k != 0.
-    started = time.perf_counter()
-    ctx1 = RingContext(p, 1)
-    witness = None
+def _linear_relation_failure(ctx: RingContext, n: int):
+    """m-sequence pairs over Z/p: dependent pairs give a singleton value
+    set, independent pairs reach every value at k != 0. Returns (witness
+    or None, cells checked)."""
+    p = ctx.p
     cells = 0
-    for f in iter_primitive(ctx1, n):
+    for f in iter_primitive(ctx, n):
         seqs = _sequences(f, itertools.product(range(p), repeat=n))
-        states = sorted(seqs)
-        for sa in states:
-            a = level_sequence(p, seqs[sa].terms)
-            for sb in states:
-                if all(v == 0 for v in sb):
+        levels = {st: level_sequence(p, seqs[st].terms) for st in sorted(seqs)}
+        for sa, a in levels.items():
+            for sb, b in levels.items():
+                if not any(sb):
                     continue
-                b = level_sequence(p, seqs[sb].terms)
                 lam = _proportional(a, b, p)
-                for k in range(p):
-                    if lam is None and k == 0:
-                        # degree-2 state spaces cannot pair 0 with every
-                        # value; the law is stated for k != 0
-                        continue
+                # degree-2 state spaces cannot pair 0 with every value; the
+                # law is stated for k != 0
+                for k in range(p) if lam is not None else range(1, p):
                     cells += 1
                     got = _value_set(a, b, k)
-                    expected = {lam * k % p} if lam is not None else set(range(p))
-                    if got != expected:
-                        witness = {"f": _fmt_coeffs(f), "a_state": list(sa),
-                                   "b_state": list(sb), "k": k,
-                                   "got": sorted(got)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(
-        _report("distribution-linear-relation", {"p": p, "n": n, "e": 1}, witness,
-                {"positions": cells, "pairs": 0}, False, 0, started)
-    )
+                    if got != ({lam * k % p} if lam is not None else set(range(p))):
+                        return {"f": _fmt_coeffs(f), "a_state": list(sa), "b_state": list(sb),
+                                "k": k, "got": sorted(got)}, cells
+    return None, cells
 
-    # top-level value sets of any recurring sequence at marker positions:
-    # all of Z/p, or a singleton in the fully-degenerate proportional case.
-    # Exhaustive over states, markers and k for the first two generators.
-    started = time.perf_counter()
-    ctx = RingContext(p, e)
-    witness = None
+
+def _relation_failure(ctx: RingContext, n: int):
+    """Top-level value sets of any recurring sequence at marker positions:
+    all of Z/p, or a singleton in the fully-degenerate proportional case.
+    Exhaustive over states, markers and k for the first two generators;
+    returns (witness or None, cells checked)."""
+    p, e = ctx.p, ctx.e
     cells = 0
     for f in itertools.islice(iter_primitive(ctx, n), 2):
-        f1 = RingPolynomial(ctx1, tuple(c % p for c in f.coeffs))
+        f1 = RingPolynomial(RingContext(p, 1), tuple(c % p for c in f.coeffs))
         g_seqs = _sequences(f1, (gs for gs in itertools.product(range(p), repeat=n) if any(gs)))
         gammas = [level_sequence(p, g_seqs[gs].terms) for gs in sorted(g_seqs)]
         c_seqs = _sequences(f, itertools.product(range(ctx.modulus), repeat=n))
-        for c_state in sorted(c_seqs):
-            c_seq = c_seqs[c_state]
+        for c_state, c_seq in sorted(c_seqs.items()):
             c_top = level(c_seq, e - 1)
             lower_zero = all(level(c_seq, i).is_zero() for i in range(e - 1))
             for gamma in gammas:
@@ -716,74 +690,68 @@ def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityRep
                         continue
                     lam = _proportional(c_top, gamma, p) if len(got) == 1 else None
                     if not lower_zero or lam is None or got != {lam * k % p}:
-                        witness = {"f": _fmt_coeffs(f), "state": list(c_state),
-                                   "k": k, "got": sorted(got)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(
-        _report("distribution-relation", {"p": p, "n": n, "e": e}, witness,
-                {"positions": cells, "pairs": 0}, False, 0, started)
-    )
+                        return {"f": _fmt_coeffs(f), "state": list(c_state), "k": k,
+                                "got": sorted(got)}, cells
+    return None, cells
 
-    # proportional markers: if the top levels differ by delta + lam * (.)
-    # wherever alpha = k, then lam = 1, the lower levels agree, and the
-    # top-level difference is delta * k^{-1} * alpha. Exhaustive over
-    # state pairs for the first two strongly primitive generators.
-    started = time.perf_counter()
-    witness = None
+
+def _highest_level_failure(ctx: RingContext, n: int):
+    """Proportional markers: if the top levels differ by delta + lam * (.)
+    wherever alpha = k, then lam = 1, the lower levels agree, and the
+    top-level difference is delta * k^{-1} * alpha. Exhaustive over state
+    pairs for the first two strongly primitive generators; returns
+    (witness or None, cells checked)."""
+    p, e = ctx.p, ctx.e
+    low = p ** (e - 1)
     cells = 0
     for f in itertools.islice(iter_primitive(ctx, n, strongly=True), 2):
         cert = certify(f)
-        seqs = _sequences(f)
-        states = sorted(seqs)
-        alphas = {st: alpha_sequence(seqs[st], cert) for st in states}
-        for sa in states:
-            a_top = level(seqs[sa], e - 1)
-            alpha = alphas[sa]
-            for sb in states:
-                beta = alphas[sb]
+        reps, index = shift_classes(f)
+        rep_alphas = [alpha_sequence(rep, cert) for rep in reps]
+        # each state's sequence, top level and alpha (rotated from its class rep's)
+        data = {}
+        for st, (ci, off) in sorted(index.items()):
+            seq = reps[ci].shifted(off)
+            data[st] = seq, level(seq, e - 1), rep_alphas[ci].shifted(off)
+        for sa, (a_seq, a_top, alpha) in data.items():
+            for sb, (b_seq, b_top, beta) in data.items():
                 lam = _proportional(beta, alpha, p)
-                if lam is None or lam == 0:
+                if not lam:  # None, or the zero multiple
                     continue
-                b_top = level(seqs[sb], e - 1)
-                span = math.lcm(seqs[sa].period, seqs[sb].period, alpha.period)
+                span = math.lcm(a_seq.period, b_seq.period, alpha.period)
                 for k in range(1, p):
-                    marked = [t for t in range(span) if alpha.at(t) == k]
-                    deltas = {(b_top.at(t) - lam * a_top.at(t)) % p for t in marked}
+                    deltas = {(b_top.at(t) - lam * a_top.at(t)) % p
+                              for t in range(span) if alpha.at(t) == k}
                     if len(deltas) != 1:
                         continue
                     cells += 1
                     delta = deltas.pop()
                     kinv = pow(k, p - 2, p)
-                    lower_equal = all(
-                        seqs[sa].at(t) % p ** (e - 1) == seqs[sb].at(t) % p ** (e - 1)
-                        for t in range(span)
-                    )
-                    diff_ok = all(
-                        (b_top.at(t) - a_top.at(t)) % p
-                        == delta * kinv * alpha.at(t) % p
-                        for t in range(span)
-                    )
+                    lower_equal = all(a_seq.at(t) % low == b_seq.at(t) % low for t in range(span))
+                    diff_ok = all((b_top.at(t) - a_top.at(t)) % p == delta * kinv * alpha.at(t) % p
+                                  for t in range(span))
                     if lam != 1 or not lower_equal or not diff_ok:
-                        witness = {"f": _fmt_coeffs(f), "a_state": list(sa),
-                                   "b_state": list(sb), "k": k, "lambda": lam,
-                                   "delta": delta}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(
-        _report("distribution-highest-level", {"p": p, "n": n, "e": e}, witness,
-                {"positions": cells, "pairs": 0}, False, 0, started)
-    )
+                        return {"f": _fmt_coeffs(f), "a_state": list(sa), "b_state": list(sb),
+                                "k": k, "lambda": lam, "delta": delta}, cells
+    return None, cells
+
+
+def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityReport]:
+    """Value-distribution laws for m-sequence pairs, the top-level value
+    sets of a recurring sequence at marked positions, and proportional
+    markers forcing equal lower levels; they need n >= 2 and e >= 2."""
+    if n < 2 or e < 2:
+        raise InvalidInputError(f"the distribution laws need n >= 2 and e >= 2, got n={n}, e={e}")
+    reports = []
+    for experiment, law, ring_e in (
+        ("distribution-linear-relation", _linear_relation_failure, 1),
+        ("distribution-relation", _relation_failure, e),
+        ("distribution-highest-level", _highest_level_failure, e),
+    ):
+        started = time.perf_counter()
+        witness, cells = law(RingContext(p, ring_e), n)
+        reports.append(_report(experiment, {"p": p, "n": n, "e": ring_e}, witness,
+                               {"positions": cells, "pairs": 0}, False, 0, started))
     return reports
 
 
@@ -820,9 +788,7 @@ def suite_alpha_k(
     if f_coeffs is not None:
         cert = certify(RingPolynomial(ctx, tuple(ctx.check(c) for c in f_coeffs)))
     else:
-        cert = find_primitive(ctx, n, strongly=deg_g >= 2)
-        if cert is None:
-            raise InvalidInputError(f"no qualifying polynomial for p={p}, e={e}, n={n}")
+        cert = _generator(ctx, n, strongly=deg_g >= 2)
     ks = tuple(ks) if ks else tuple(range(1, p))
     reports = []
     for eta in _eta_grid(p, e, seed):
@@ -855,9 +821,7 @@ def suite_thm7(ps=(3, 5), e: int = 2, n: int = 2) -> list[UniformityReport]:
     reports = []
     for p in ps:
         ctx = RingContext(p, e)
-        cert = find_primitive(ctx, n)
-        if cert is None:
-            raise InvalidInputError(f"no primitive polynomial for p={p}, e={e}, n={n}")
+        cert = _generator(ctx, n)
         g = UnivariateFn(p, (0, 1))
 
         started = time.perf_counter()
@@ -893,9 +857,7 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
     reports = []
     for p in ps:
         ctx = RingContext(p, e)
-        cert = find_primitive(ctx, n)
-        if cert is None:
-            raise InvalidInputError(f"no primitive polynomial for p={p}, e={e}, n={n}")
+        cert = _generator(ctx, n)
         g = UnivariateFn(p, (0, 0, 1))
         lam = p - 1
 
@@ -938,9 +900,7 @@ def suite_thm9(
     for p in ps:
         started = time.perf_counter()
         ctx = RingContext(p, e)
-        cert = find_primitive(ctx, n, strongly=True)
-        if cert is None:
-            raise InvalidInputError(f"no strongly primitive f for p={p}, e={e}, n={n}")
+        cert = _generator(ctx, n, strongly=True)
         w = thm9_choose_w(p)
         g = UnivariateFn(p, (0, 0, 1))
         m = CompressingMap(g=g, eta=psi_zw(p, e, 0, w), e=e)

@@ -92,7 +92,7 @@ def _parse_map_spec(spec: str, p: int, e: int) -> CompressingMap:
                     z, w = (int(v) for v in body[4:-1].split(","))
                 except ValueError:
                     raise InvalidInputError(f"psi takes two integers z,w, got {body!r}") from None
-                eta = psi_zw(p, e, z, w)
+                eta = psi_zw(p, e, *(RingContext(p, 1).check(v) for v in (z, w)))
             elif body.startswith("table@"):
                 try:
                     with open(body[6:], "r", encoding="utf-8") as fh:

@@ -57,6 +57,11 @@ class LevelSequence:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.terms)
 
+    def shifted(self, r: int) -> "LevelSequence":
+        """The same terms rotated by r, again one least period."""
+        r %= self.period
+        return LevelSequence(p=self.p, terms=self.terms[r:] + self.terms[:r], period=self.period)
+
 
 def least_period(values) -> int:
     """Smallest cyclic period of a list known to repeat with its length."""

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -288,6 +291,37 @@ def test_alpha_k_without_strong_generator_exits_2(capsys):
     assert "no qualifying polynomial for p=3, e=2, n=1" in err
 
 
+def test_thm9_without_strong_generator_exits_2(capsys):
+    # every suite that looks up its generator says the same thing
+    code, out, err = run_cli(capsys, "verify", "thm9", "--n", "1")
+    assert code == 2 and out == ""
+    assert "no qualifying polynomial for p=5, e=2, n=1" in err
+
+
+@pytest.mark.parametrize("argv", [("--n", "1"), ("--e", "1")])
+def test_distribution_outside_its_laws_exits_2(capsys, argv):
+    # an n = 1 m-sequence never hits 0, and there is no strongly primitive
+    # generator at e = 1: no law of the suite applies
+    code, out, err = run_cli(capsys, "verify", "distribution", *argv)
+    assert code == 2 and out == ""
+    assert "the distribution laws need n >= 2 and e >= 2" in err
+
+
+def test_recurrence_with_few_primitive_states_checks_all_of_them():
+    # p=3, e=2, n=1 has 9 - 3 = 6 primitive states, fewer than the 10 the
+    # suite draws; a child process, so that a hang fails instead of blocking
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "residueseq", "verify", "recurrence",
+         "--p", "3", "--e", "2", "--n", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    (report,) = json.loads(done.stdout)
+    assert report["params"]["states"] == 6 and report["counts"]["pairs"] == 6
+
+
 def test_verify_out_file(tmp_path, capsys):
     target = tmp_path / "reports.json"
     code, out, _ = run_cli(capsys, "verify", "carry", "--p", "3",
@@ -330,6 +364,7 @@ def test_bad_map_spec_exits_2(capsys, tmp_path):
     no_vars = tmp_path / "no_vars.json"
     no_vars.write_text('{"p": 3, "values": [0, 1, 1]}')
     for spec in ("eta=psi(0,1)", "g=x; eta=psi(0)", "g=x; eta=psi(a,b)",
+                 "g=x; eta=psi(5,7)", "g=x; eta=psi(-1,1)",
                  f"g=x; eta=table@{bad_json}", f"g=x; eta=table@{no_vars}",
                  f"g=x; eta=table@{tmp_path}", f"g=x; eta=table@{tmp_path / 'missing.json'}"):
         code, out, err = run_cli(capsys, "seq", "compress", "--p", "3", "--e", "2",

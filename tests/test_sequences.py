@@ -57,6 +57,18 @@ def test_shifted_equals_generate_from_the_rotated_state():
             assert s.shifted(r) == generate(f, s.state_at(r))
 
 
+def test_rotated_levels_and_alpha_are_those_of_the_rotated_sequence():
+    # least periods are rotation-invariant, so rotating a level or alpha
+    # gives the level or alpha of the shifted sequence, at every r
+    for f in (FIB9, next(f for f in iter_primitive(RingContext(3, 3), 2))):
+        cert = certify(f)
+        s = generate(f, (0, 1))
+        a, top = alpha_sequence(s, cert), level(s, f.ctx.e - 1)
+        for r in range(-1, 2 * s.period + 1):
+            assert a.shifted(r) == alpha_sequence(s.shifted(r), cert)
+            assert top.shifted(r) == level(s.shifted(r), f.ctx.e - 1)
+
+
 def test_generate_errors():
     with pytest.raises(InvalidInputError):
         generate(FIB9, (0, 1, 2))
