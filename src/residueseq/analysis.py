@@ -9,9 +9,12 @@ marks the report accordingly.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import inspect
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -228,8 +231,11 @@ def shift_classes(f: RingPolynomial, states=None):
         s = generate(f, state)
         ci = len(reps)
         reps.append(s)
-        # the states of one least period are distinct and in no earlier class
-        index.update((s.state_at(t), (ci, t)) for t in range(s.period))
+        # the states of one least period are distinct and in no earlier class;
+        # state_at(t) is terms[t:t+n] read cyclically
+        wrapped = tuple(itertools.islice(itertools.cycle(s.terms), s.period + f.degree - 1))
+        states_of = zip(*(wrapped[j:j + s.period] for j in range(f.degree)))
+        index.update(zip(states_of, zip(itertools.repeat(ci), range(s.period))))
     return reps, index
 
 
@@ -267,6 +273,33 @@ def equal_at_alpha_k(
     return True
 
 
+def _sampled_rows(draws, bits):
+    """Each drawn row a with its lives: lives[j] holds the states drawn with
+    a more than j times."""
+    for ia, group in itertools.groupby(draws, key=operator.itemgetter(0)):
+        drawn = collections.Counter(map(operator.itemgetter(1), group))
+        yield ia, [sum(bits[ib] for ib, c in drawn.items() if c > j)
+                   for j in range(max(drawn.values()))]
+
+
+def _walk_row(lives, abit, count, masks):
+    """Compares the pairwise scan makes between row a and the states in
+    lives[0], at the agreement masks of a's count k-positions.
+
+    lives[j] holds the states paired with a more than j times; abit is a's
+    bit. Returns the compares and the states that agree with a everywhere.
+    """
+    checked = 0
+    for done, mask in enumerate(masks):
+        if not lives[0] & ~abit:
+            # a agrees with itself: it alone is compared from here on
+            checked += (count - done) * sum(1 for x in lives if x & abit)
+            break
+        checked += sum(map(int.bit_count, lives))
+        lives = [x & mask for x in lives]
+    return checked, lives[0]
+
+
 def verify_alpha_k_injectivity(
     cert: PrimitivityCertificate,
     m: CompressingMap,
@@ -276,6 +309,12 @@ def verify_alpha_k_injectivity(
 ) -> UniformityReport:
     """Scan ordered pairs of primitive states: agreement of the compressed
     sequences at alpha(t) = k must force equal states.
+
+    The scan walks rows of agreement bitmasks, with counts equal to the
+    pairwise scan: counts.pairs is the ordered pairs covered and
+    counts.positions the compares the pairwise scan makes, each pair
+    compared in ascending t up to its first mismatch; the witness is the
+    first agreeing pair of distinct states in lex order.
 
     deg g >= 2 requires a strongly primitive certificate; deg g = 1 works
     for any primitive one. A counterexample would falsify the
@@ -294,42 +333,63 @@ def verify_alpha_k_injectivity(
     rows = [[table[v] for v in rep.terms] for rep in reps]
     alphas = [alpha_sequence(rep, cert) for rep in reps]
     marks = [[t for t in range(len(row)) if alpha.at(t) == k] for row, alpha in zip(rows, alphas)]
-    # every state in lex order, with its row and k-positions (ascending t)
-    # rotated from its class rep's
+    # state (ci, r) is bit ci*L + r: every primitive state of f has the same
+    # least period L, so a rotation of every L-bit block rotates every class
+    period = reps[0].period
+    total = len(index)
+    full = (1 << total) - 1
+    blocks = sum(1 << (ci * period) for ci in range(len(reps)))
+    by_value: dict[int, int] = {}
+    for i, v in enumerate(itertools.chain.from_iterable(rows)):
+        by_value[v] = by_value.get(v, 0) | 1 << i
+    # agree[t][v]: the states whose compressed row is v at t, each L-bit
+    # block of by_value[v] rotated so that bit r takes bit (r + t) % L
+    agree = []
+    for t in range(period):
+        low = ((1 << (period - t)) - 1) * blocks
+        high = full ^ low
+        agree.append({v: (mask >> t) & low | (mask << (period - t)) & high
+                      for v, mask in by_value.items()})
     states = sorted(index)
-    compressed = []
-    positions = []
-    for state in states:
-        ci, r = index[state]
-        compressed.append(rows[ci][r:] + rows[ci][:r])
-        positions.append(sorted((t - r) % len(rows[ci]) for t in marks[ci]))
+    bits = [1 << (ci * period + r) for ci, r in map(index.__getitem__, states)]
 
-    total = len(states)
-    avg = max(1, sum(len(ps) for ps in positions) // max(1, total))
+    avg = max(1, period * sum(map(len, marks)) // total)
     sampled = total * total * avg > budget
     if sampled:
         rng = random.Random(seed)
         want = max(1, budget // avg)
-        pair_space = sorted(
-            (rng.randrange(total), rng.randrange(total)) for _ in range(want)
-        )
+        draws = sorted((rng.randrange(total), rng.randrange(total)) for _ in range(want))
+        walks = _sampled_rows(draws, bits)
+        pairs = len(draws)
     else:
-        pair_space = itertools.product(range(total), repeat=2)
+        walks = ((ia, [full]) for ia in range(total))
+        pairs = total * total
+
+    def masks(ia):
+        """The number of a's k-positions and, lazily, their agreement masks
+        in ascending t."""
+        ci, r = index[states[ia]]
+        row, ms = rows[ci], marks[ci]
+        cut = bisect.bisect_left(ms, r)
+        return len(ms), (agree[(t - r) % period][row[t]] for t in ms[cut:] + ms[:cut])
 
     witness = None
     checked = 0
-    pairs = 0
-    for ia, ib in pair_space:
-        pairs += 1
-        ca, cb = compressed[ia], compressed[ib]
-        for t in positions[ia]:
-            checked += 1
-            if ca[t % len(ca)] != cb[t % len(cb)]:
-                break
-        else:
-            if states[ia] != states[ib]:
-                witness = {"a_state": list(states[ia]), "b_state": list(states[ib]), "k": k}
-                break
+    for ia, lives in walks:
+        done, agreeing = _walk_row(lives, bits[ia], *masks(ia))
+        others = agreeing & ~bits[ia]
+        if others:
+            ib = next(ib for ib, bit in enumerate(bits) if bit & others)
+            # the pairwise scan stops at (a, b): recount a's row up to it
+            before = sum(bits[:ib])
+            done, _ = _walk_row(
+                [x & (before if j else before | bits[ib]) for j, x in enumerate(lives)],
+                bits[ia], *masks(ia))
+            checked += done
+            pairs = bisect.bisect_left(draws, (ia, ib)) + 1 if sampled else ia * total + ib + 1
+            witness = {"a_state": list(states[ia]), "b_state": list(states[ib]), "k": k}
+            break
+        checked += done
 
     params = {
         "p": p,

@@ -48,8 +48,10 @@ def compute_h_lifted(f: RingPolynomial, i: int) -> RingPolynomial:
 
 
 def verify_alpha_k_injectivity_per_state(cert, m, k, budget=DEFAULT_BUDGET, seed=0):
-    """verify_alpha_k_injectivity with every primitive state's sequence,
-    alpha markers and compressed row built from scratch by generate."""
+    """verify_alpha_k_injectivity as the pairwise scan: every ordered pair
+    of primitive states compared in ascending t up to its first mismatch,
+    with each state's sequence, alpha markers and compressed row built from
+    scratch by generate."""
     started = time.perf_counter()
     ctx = cert.f.ctx
     p = ctx.p

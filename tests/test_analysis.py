@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import verify_alpha_k_injectivity_per_state
 from residueseq.errors import InvalidInputError
@@ -233,6 +234,32 @@ def test_verify_alpha_k_matches_per_state_oracle_sampled_and_p5():
         assert fast.sampled == (budget == 100)
         slow = verify_alpha_k_injectivity_per_state(cert, m, k, budget, seed)
         assert fast.to_dict() == slow.to_dict()
+
+
+STRONG9 = certify(RingPolynomial(Z9, (2, 1, 1)))
+FORCED9 = dataclasses.replace(certify(RingPolynomial(Z9, (2, 2, 1))), strongly_primitive=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cert=st.sampled_from([STRONG9, FORCED9]),
+    table=st.tuples(*[st.integers(0, 2)] * 3),
+    deg_g=st.sampled_from([1, 2]),
+    k=st.sampled_from([1, 2]),
+    # 72 * 72 pairs of 9 k-positions each make 46,656 compares, so budgets
+    # below that sample, and those above a few hundred draw pairs twice
+    budget=st.one_of(st.integers(1, 46_655), st.just(analysis.DEFAULT_BUDGET)),
+    seed=st.integers(0, 2**16),
+)
+# a sampled failing cell whose witness pair is drawn twice
+@example(cert=FORCED9, table=(0, 0, 0), deg_g=2, k=1, budget=41_000, seed=10)
+def test_verify_alpha_k_matches_per_state_oracle_on_random_cells(cert, table, deg_g, k,
+                                                                  budget, seed):
+    # the non-strong 2,2,1 forced strong fails a third of its g = x^2 cells
+    m = CompressingMap(g=UnivariateFn(3, (0,) * deg_g + (1,)), eta=from_table(3, 1, table), e=2)
+    fast = verify_alpha_k_injectivity(cert, m, k, budget, seed)
+    slow = verify_alpha_k_injectivity_per_state(cert, m, k, budget, seed)
+    assert fast.to_dict() == slow.to_dict()
 
 
 def test_construct_thm7():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -171,6 +172,19 @@ def test_verify_all_matches_golden_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--seed", "0")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_alpha_k_p5_matches_bench_reference_digest(capsys, seed):
+    # 27 cells of 360,000 pairs: verdicts, witnesses and exact counts,
+    # pinned by the digests the benchmark's correctness gate checks
+    reference = Path(__file__).parents[1] / "bench" / "reference.json"
+    digests = json.loads(reference.read_text(encoding="utf-8"))
+    code, out, _ = run_cli(capsys, "verify", "alpha-k", "--p", "5", "--e", "2",
+                           "--n", "2", "--k", "1", "--seed", seed)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == digests["workloads"]["alpha-k-p5"]["stdout_sha256"][seed]
 
 
 def test_verify_exit_codes(capsys):
