@@ -57,7 +57,6 @@ from .analysis import (
     construct_thm7,
     construct_thm8,
     count_uniform_s,
-    equal_at_alpha_k,
     intersection_count,
     legendre,
     legendre_sum,

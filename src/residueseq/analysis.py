@@ -2,19 +2,18 @@
 
 Every experiment is a pure function of its parameters and seed and yields
 a UniformityReport; a failing verdict always carries a replayable
-witness. Elementary-check budgets guard the pair scans; when a scan
-would overflow its budget the harness falls back to seeded sampling and
-marks the report accordingly.
+witness. A work budget guards the two suites whose scans grow without
+bound: alpha-k counts 64-bit mask words, thm9 counts positions, and the
+other suites take none. A scan over its budget falls back to seeded
+sampling and marks the report accordingly.
 """
 
 from __future__ import annotations
 
 import bisect
-import collections
 import inspect
 import itertools
 import math
-import operator
 import random
 import time
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ from .sequences import (
     alpha_sequence,
     carry_identity_check,
     generate,
-    is_primitive_sequence,
     level,
     level_sequence,
     shift_identity_check,
@@ -249,55 +247,19 @@ def _sequences(f: RingPolynomial, states) -> dict:
 # ---------------------------------------------------------------------------
 # agreement at the marker value k
 
-def equal_at_alpha_k(
-    s_a: LRSequence,
-    s_b: LRSequence,
-    m: CompressingMap,
-    cert: PrimitivityCertificate,
-    k: int,
-) -> bool:
-    """True iff the compressed sequences agree wherever alpha(t) = k,
-    with alpha taken from s_a."""
-    ctx = s_a.f.ctx
-    k %= ctx.p
-    if k == 0:
-        raise InvalidInputError("k must be nonzero")
-    if not is_primitive_sequence(s_a, cert) or not is_primitive_sequence(s_b, cert):
-        raise InvalidInputError("both sequences must be primitive")
-    alpha = alpha_sequence(s_a, cert)
-    table = value_table(m, ctx)
-    span = math.lcm(s_a.period, s_b.period, alpha.period)
-    for t in range(span):
-        if alpha.at(t) == k and table[s_a.at(t)] != table[s_b.at(t)]:
-            return False
-    return True
-
-
-def _sampled_rows(draws, bits):
-    """Each drawn row a with its lives: lives[j] holds the states drawn with
-    a more than j times."""
-    for ia, group in itertools.groupby(draws, key=operator.itemgetter(0)):
-        drawn = collections.Counter(map(operator.itemgetter(1), group))
-        yield ia, [sum(bits[ib] for ib, c in drawn.items() if c > j)
-                   for j in range(max(drawn.values()))]
-
-
-def _walk_row(lives, abit, count, masks):
-    """Compares the pairwise scan makes between row a and the states in
-    lives[0], at the agreement masks of a's count k-positions.
-
-    lives[j] holds the states paired with a more than j times; abit is a's
-    bit. Returns the compares and the states that agree with a everywhere.
-    """
+def _walk_row(live, abit, count, masks):
+    """Compares the pairwise scan makes between row a (bit abit) and the
+    states in live, at the agreement masks of a's count k-positions; returns
+    them and the states of live that agree with a everywhere."""
     checked = 0
     for done, mask in enumerate(masks):
-        if not lives[0] & ~abit:
-            # a agrees with itself: it alone is compared from here on
-            checked += (count - done) * sum(1 for x in lives if x & abit)
+        if live in (0, abit):
+            # a alone is left, if anything: it agrees with itself from here on
+            checked += (count - done) * bool(live)
             break
-        checked += sum(map(int.bit_count, lives))
-        lives = [x & mask for x in lives]
-    return checked, lives[0]
+        checked += live.bit_count()
+        live &= mask
+    return checked, live
 
 
 def verify_alpha_k_injectivity(
@@ -310,11 +272,17 @@ def verify_alpha_k_injectivity(
     """Scan ordered pairs of primitive states: agreement of the compressed
     sequences at alpha(t) = k must force equal states.
 
-    The scan walks rows of agreement bitmasks, with counts equal to the
-    pairwise scan: counts.pairs is the ordered pairs covered and
-    counts.positions the compares the pairwise scan makes, each pair
-    compared in ascending t up to its first mismatch; the witness is the
-    first agreeing pair of distinct states in lex order.
+    The scan walks rows of agreement bitmasks, each row a state paired
+    with every state, with counts equal to the pairwise scan:
+    counts.pairs is the ordered pairs covered and counts.positions the
+    compares the pairwise scan makes, each pair compared in ascending t up
+    to its first mismatch; the witness is the first agreeing pair of
+    distinct states in lex order.
+
+    The budget counts 64-bit mask words: the agreement table plus one
+    full-width mask per row. When the rows do not all fit, a seeded
+    sample of as many as fit is walked, in lex order, and the report is
+    marked sampled.
 
     deg g >= 2 requires a strongly primitive certificate; deg g = 1 works
     for any primitive one. A counterexample would falsify the
@@ -323,9 +291,8 @@ def verify_alpha_k_injectivity(
     started = time.perf_counter()
     ctx = cert.f.ctx
     p = ctx.p
-    k %= p
-    if k == 0:
-        raise InvalidInputError("k must be nonzero")
+    if not 0 < k < p:
+        raise InvalidInputError(f"k must be in [1, {p}), got {k}")
     if m.g.degree >= 2 and not cert.strongly_primitive:
         raise InvalidInputError("deg g >= 2 requires a strongly primitive polynomial")
     table = value_table(m, ctx)  # also rejects a map that does not fit the ring
@@ -351,19 +318,15 @@ def verify_alpha_k_injectivity(
         agree.append({v: (mask >> t) & low | (mask << (period - t)) & high
                       for v, mask in by_value.items()})
     states = sorted(index)
-    bits = [1 << (ci * period + r) for ci, r in map(index.__getitem__, states)]
 
-    avg = max(1, period * sum(map(len, marks)) // total)
-    sampled = total * total * avg > budget
-    if sampled:
-        rng = random.Random(seed)
-        want = max(1, budget // avg)
-        draws = sorted((rng.randrange(total), rng.randrange(total)) for _ in range(want))
-        walks = _sampled_rows(draws, bits)
-        pairs = len(draws)
-    else:
-        walks = ((ia, [full]) for ia in range(total))
-        pairs = total * total
+    def bit(state):
+        ci, r = index[state]
+        return ci * period + r
+
+    # rows of one ceil(N/64)-word mask each that fit beside the L*|V| of agree
+    allowed = max(1, budget // -(-total // 64) - period * len(by_value))
+    sampled = allowed < total
+    walk = sorted(random.Random(seed).sample(range(total), allowed)) if sampled else range(total)
 
     def masks(ia):
         """The number of a's k-positions and, lazily, their agreement masks
@@ -375,18 +338,21 @@ def verify_alpha_k_injectivity(
 
     witness = None
     checked = 0
-    for ia, lives in walks:
-        done, agreeing = _walk_row(lives, bits[ia], *masks(ia))
-        others = agreeing & ~bits[ia]
+    pairs = len(walk) * total
+    for j, ia in enumerate(walk):
+        abit = 1 << bit(states[ia])
+        done, agreeing = _walk_row(full, abit, *masks(ia))
+        others = agreeing & ~abit
         if others:
-            ib = next(ib for ib, bit in enumerate(bits) if bit & others)
+            flags = format(others, f"0{total}b")[::-1]  # flags[i] is bit i
+            ib = next(ib for ib, st in enumerate(states) if flags[bit(st)] == "1")
             # the pairwise scan stops at (a, b): recount a's row up to it
-            before = sum(bits[:ib])
-            done, _ = _walk_row(
-                [x & (before if j else before | bits[ib]) for j, x in enumerate(lives)],
-                bits[ia], *masks(ia))
+            upto = bytearray(b"0" * total)
+            for st in states[:ib + 1]:
+                upto[~bit(st)] = ord("1")
+            done, _ = _walk_row(int(upto, 2), abit, *masks(ia))
             checked += done
-            pairs = bisect.bisect_left(draws, (ia, ib)) + 1 if sampled else ia * total + ib + 1
+            pairs = j * total + ib + 1
             witness = {"a_state": list(states[ia]), "b_state": list(states[ib]), "k": k}
             break
         checked += done

@@ -44,17 +44,25 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
+def _distinct_ints(text: str) -> tuple[int, ...]:
+    """A list naming suite cells: a repeated value would repeat them."""
+    values = _ints(text)
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+    return values
+
+
 # the verify flags that set suite parameters: flag -> (argparse type, help,
 # the parameters its value can set; a suite takes those it has). The
 # parser, the flag check and the replay line all read this one table.
 SUITE_FLAGS = {
-    "--p": (_ints, "comma-separated prime list",
+    "--p": (_distinct_ints, "comma-separated prime list",
             lambda ps: {"ps": ps, "p": ps[0]} if len(ps) == 1 else {"ps": ps}),
     "--e": (int, None, lambda e: {"e": e, "es": (e,)}),
     "--n": (int, None, lambda n: {"n": n}),
     "--f": (_ints, "fix the generator (comma-separated)", lambda f: {"f_coeffs": f}),
     "--deg-g": (int, None, lambda deg_g: {"deg_g": deg_g}),
-    "--k": (_ints, "comma-separated marker values", lambda ks: {"ks": ks}),
+    "--k": (_distinct_ints, "comma-separated marker values", lambda ks: {"ks": ks}),
 }
 
 
@@ -282,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         verify.add_argument(flag, type=kind, help=help_text)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--budget", type=positive_int,
-                        help=f"elementary-check budget (or ${BUDGET_ENV})")
+                        help="work budget: 64-bit mask words for alpha-k, positions "
+                             f"for thm9; over it they sample (or ${BUDGET_ENV})")
     verify.add_argument("--format", choices=("json", "csv", "text"), default="json")
     verify.add_argument("--timing", action="store_true",
                         help="include wall-time in reports (breaks byte determinism)")

@@ -1,6 +1,7 @@
 """Slow reference implementations that the tests compare the package against."""
 
 import itertools
+import math
 import random
 import time
 
@@ -18,7 +19,7 @@ from residueseq.polyring import (
 )
 from residueseq.primitivity import compute_h
 from residueseq.ringcore import format_univariate
-from residueseq.sequences import alpha_sequence, generate
+from residueseq.sequences import alpha_sequence, generate, is_primitive_sequence
 
 
 def order_of_x_bruteforce(f: RingPolynomial) -> int:
@@ -49,15 +50,14 @@ def compute_h_lifted(f: RingPolynomial, i: int) -> RingPolynomial:
 
 def verify_alpha_k_injectivity_per_state(cert, m, k, budget=DEFAULT_BUDGET, seed=0):
     """verify_alpha_k_injectivity as the pairwise scan: every ordered pair
-    of primitive states compared in ascending t up to its first mismatch,
-    with each state's sequence, alpha markers and compressed row built from
-    scratch by generate."""
+    of primitive states, or of the drawn rows with every state, compared in
+    ascending t up to its first mismatch, with each state's sequence, alpha
+    markers and compressed row built from scratch by generate."""
     started = time.perf_counter()
     ctx = cert.f.ctx
     p = ctx.p
-    k %= p
-    if k == 0:
-        raise InvalidInputError("k must be nonzero")
+    if not 0 < k < p:
+        raise InvalidInputError(f"k must be in [1, {p}), got {k}")
     if m.g.degree >= 2 and not cert.strongly_primitive:
         raise InvalidInputError("deg g >= 2 requires a strongly primitive polynomial")
     table = value_table(m, ctx)
@@ -71,17 +71,15 @@ def verify_alpha_k_injectivity_per_state(cert, m, k, budget=DEFAULT_BUDGET, seed
         compressed.append([table[v] for v in seq.terms])
         positions.append([t for t in range(seq.period) if alpha.at(t) == k])
 
+    # the budget counts 64-bit words of N-bit masks: a table of L * |V|
+    # of them and one for each row; over budget, seeded rows are drawn
     total = len(states)
-    avg = max(1, sum(len(ps) for ps in positions) // max(1, total))
-    sampled = total * total * avg > budget
-    if sampled:
-        rng = random.Random(seed)
-        want = max(1, budget // avg)
-        pair_space = sorted(
-            (rng.randrange(total), rng.randrange(total)) for _ in range(want)
-        )
-    else:
-        pair_space = itertools.product(range(total), repeat=2)
+    words = -(-total // 64)
+    table_words = len(compressed[0]) * len(set(itertools.chain.from_iterable(compressed)))
+    allowed = max(1, budget // words - table_words)
+    sampled = allowed < total
+    rows = sorted(random.Random(seed).sample(range(total), allowed)) if sampled else range(total)
+    pair_space = ((ia, ib) for ia in rows for ib in range(total))
 
     witness = None
     checked = 0
@@ -110,3 +108,17 @@ def verify_alpha_k_injectivity_per_state(cert, m, k, budget=DEFAULT_BUDGET, seed
     }
     counts = {"positions": checked, "pairs": pairs}
     return _report("alpha-k", params, witness, counts, sampled, seed, started)
+
+
+def equal_at_alpha_k(s_a, s_b, m, cert, k) -> bool:
+    """True iff the compressed sequences agree wherever alpha(t) = k,
+    with alpha taken from s_a."""
+    ctx = s_a.f.ctx
+    if not 0 < k < ctx.p:
+        raise InvalidInputError(f"k must be in [1, {ctx.p}), got {k}")
+    if not is_primitive_sequence(s_a, cert) or not is_primitive_sequence(s_b, cert):
+        raise InvalidInputError("both sequences must be primitive")
+    alpha = alpha_sequence(s_a, cert)
+    table = value_table(m, ctx)
+    span = math.lcm(s_a.period, s_b.period, alpha.period)
+    return all(table[s_a.at(t)] == table[s_b.at(t)] for t in range(span) if alpha.at(t) == k)

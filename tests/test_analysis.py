@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import verify_alpha_k_injectivity_per_state
+from oracles import equal_at_alpha_k, verify_alpha_k_injectivity_per_state
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn
 from residueseq.polyring import RingPolynomial
@@ -22,7 +22,6 @@ from residueseq.analysis import (
     construct_thm7,
     construct_thm8,
     count_uniform_s,
-    equal_at_alpha_k,
     intersection_count,
     intersection_count_formula,
     legendre,
@@ -157,8 +156,9 @@ def test_verify_alpha_k_preconditions():
     with pytest.raises(InvalidInputError):
         verify_alpha_k_injectivity(cert, m, 1)
     good = certify(FIB9)
-    with pytest.raises(InvalidInputError):
-        verify_alpha_k_injectivity(good, m, 0)
+    for k in (0, 3, 4, -2):  # k is a nonzero residue, never reduced mod p
+        with pytest.raises(InvalidInputError):
+            verify_alpha_k_injectivity(good, m, k)
     wider = CompressingMap(g=UnivariateFn(3, (0, 1)), eta=zero_poly(3, 2), e=3)
     with pytest.raises(InvalidInputError):
         verify_alpha_k_injectivity(good, wider, 1)
@@ -196,6 +196,8 @@ def test_verify_alpha_k_sampled_budget():
     report = verify_alpha_k_injectivity(cert, m, 1, budget=100, seed=3)
     assert report.sampled
     assert report.holds
+    # whole rows are drawn, each against all 72 states
+    assert report.counts["pairs"] % 72 == 0
     again = verify_alpha_k_injectivity(cert, m, 1, budget=100, seed=3)
     assert report.to_dict() == again.to_dict()
 
@@ -236,6 +238,16 @@ def test_verify_alpha_k_matches_per_state_oracle_sampled_and_p5():
         assert fast.to_dict() == slow.to_dict()
 
 
+def test_verify_alpha_k_exhaustive_where_the_rows_fit():
+    # 2,352 states: every row of 37 mask words fits the default budget
+    cert = find_primitive(RingContext(7, 2), 2)
+    m = CompressingMap(g=UnivariateFn(7, (0, 1)), eta=zero_poly(7, 1), e=2)
+    report = verify_alpha_k_injectivity(cert, m, 1)
+    assert report.sampled is False
+    assert report.counts["pairs"] == 2352**2
+    assert report.holds
+
+
 STRONG9 = certify(RingPolynomial(Z9, (2, 1, 1)))
 FORCED9 = dataclasses.replace(certify(RingPolynomial(Z9, (2, 2, 1))), strongly_primitive=True)
 
@@ -246,13 +258,13 @@ FORCED9 = dataclasses.replace(certify(RingPolynomial(Z9, (2, 2, 1))), strongly_p
     table=st.tuples(*[st.integers(0, 2)] * 3),
     deg_g=st.sampled_from([1, 2]),
     k=st.sampled_from([1, 2]),
-    # 72 * 72 pairs of 9 k-positions each make 46,656 compares, so budgets
-    # below that sample, and those above a few hundred draw pairs twice
-    budget=st.one_of(st.integers(1, 46_655), st.just(analysis.DEFAULT_BUDGET)),
+    # 72 states make 2 mask words a row and the table 24 * |V| <= 72 rows,
+    # so budgets below 2 * (72 + 24 * |V|), at most 288, sample rows
+    budget=st.one_of(st.integers(1, 300), st.just(analysis.DEFAULT_BUDGET)),
     seed=st.integers(0, 2**16),
 )
-# a sampled failing cell whose witness pair is drawn twice
-@example(cert=FORCED9, table=(0, 0, 0), deg_g=2, k=1, budget=41_000, seed=10)
+# a sampled failing cell: 27 of 72 rows drawn, the witness in the first
+@example(cert=FORCED9, table=(0, 0, 0), deg_g=2, k=1, budget=150, seed=0)
 def test_verify_alpha_k_matches_per_state_oracle_on_random_cells(cert, table, deg_g, k,
                                                                   budget, seed):
     # the non-strong 2,2,1 forced strong fails a third of its g = x^2 cells

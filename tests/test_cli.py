@@ -87,6 +87,26 @@ def test_non_canonical_generator_exits_2(capsys, argv):
     assert "17 is not a canonical residue modulo 9" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("legendre", "--p", "3,3"), "argument --p: repeated value in '3,3'"),
+    (("alpha-k", "--k", "1,1"), "argument --k: repeated value in '1,1'"),
+])
+def test_repeated_suite_values_exit_2(capsys, argv, message):
+    # a repeated prime or marker would run every one of its cells twice
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["4", "-2", "0"])
+def test_alpha_k_marker_outside_the_residues_exits_2(capsys, k):
+    # k is a nonzero residue mod p, never reduced: 4 and -2 are not 1
+    code, out, err = run_cli(capsys, "verify", "alpha-k", "--p", "3", "--k", k)
+    assert code == 2 and out == ""
+    assert f"k must be in [1, 3), got {k}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("primitive", "check", "--p", "3", "--e", "2", "--f", "8,x,1"),
     ("seq", "gen", "--p", "3", "--e", "2", "--f", "8,8,1", "--init", "a"),
