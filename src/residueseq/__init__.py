@@ -37,9 +37,9 @@ from .sequences import (
     LRSequence,
     alpha_sequence,
     generate,
+    identity_failure,
     is_primitive_sequence,
     level,
-    verify_recurring_identities,
 )
 from .compress import (
     CompressingMap,

@@ -37,11 +37,10 @@ from .sequences import (
     LRSequence,
     LevelSequence,
     alpha_sequence,
-    carry_identity_check,
     generate,
+    identity_failure,
     level,
     level_sequence,
-    shift_identity_check,
 )
 from .compress import (
     CompressingMap,
@@ -262,6 +261,11 @@ def _walk_row(live, abit, count, masks):
     return checked, live
 
 
+def _check_marker(p: int, k: int) -> None:
+    if not 0 < k < p:
+        raise InvalidInputError(f"k must be in [1, {p}), got {k}")
+
+
 def verify_alpha_k_injectivity(
     cert: PrimitivityCertificate,
     m: CompressingMap,
@@ -291,8 +295,7 @@ def verify_alpha_k_injectivity(
     started = time.perf_counter()
     ctx = cert.f.ctx
     p = ctx.p
-    if not 0 < k < p:
-        raise InvalidInputError(f"k must be in [1, {p}), got {k}")
+    _check_marker(p, k)
     if m.g.degree >= 2 and not cert.strongly_primitive:
         raise InvalidInputError("deg g >= 2 requires a strongly primitive polynomial")
     table = value_table(m, ctx)  # also rejects a map that does not fit the ring
@@ -579,18 +582,18 @@ def _sample_primitive_states(ctx: RingContext, n: int, count: int, rng: random.R
 
 def _recurrence_failure(seqs, cert, p, e):
     """First (sequence, j) breaking the shift identity, or for e >= 3 the
-    carry identity, as (witness or None, positions compared)."""
-    # the carry identity needs e >= 3
-    checks = (("shift", shift_identity_check), ("carry", carry_identity_check))[:2 if e >= 3 else 1]
+    carry identity, as (witness or None, positions compared); each
+    identity checked for one j counts one period."""
+    checks = 2 if e >= 3 else 1
     positions = 0
     for seq in seqs:
-        for j in range(p):
-            for identity, check in checks:
-                positions += seq.period
-                t = check(seq, cert, j)
-                if t is not None:
-                    return {"state": list(seq.initial_state), "j": j, "t": t,
-                            "identity": identity}, positions
+        failure = identity_failure(seq, cert)
+        if failure is not None:
+            j, identity, t = failure
+            positions += (j * checks + (identity == "carry") + 1) * seq.period
+            return {"state": list(seq.initial_state), "j": j, "t": t,
+                    "identity": identity}, positions
+        positions += p * checks * seq.period
     return None, positions
 
 
@@ -811,11 +814,16 @@ def suite_alpha_k(
     if deg_g not in (1, 2):
         raise InvalidInputError(f"deg g must be 1 or 2 in this suite, got {deg_g}")
     g = UnivariateFn(p, (0,) * deg_g + (1,))  # x^deg_g
+    ks = tuple(ks) if ks else tuple(range(1, p))
+    for k in ks:  # every marker, before the first cell runs
+        _check_marker(p, k)
     if f_coeffs is not None:
-        cert = certify(RingPolynomial(ctx, tuple(ctx.check(c) for c in f_coeffs)))
+        f = RingPolynomial(ctx, tuple(ctx.check(c) for c in f_coeffs))
+        if f.degree != n:
+            raise InvalidInputError(f"f has degree {f.degree}, but n = {n}")
+        cert = certify(f)
     else:
         cert = _generator(ctx, n, strongly=deg_g >= 2)
-    ks = tuple(ks) if ks else tuple(range(1, p))
     reports = []
     for eta in _eta_grid(p, e, seed):
         m = CompressingMap(g=g, eta=eta, e=e)

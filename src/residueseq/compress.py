@@ -8,13 +8,12 @@ equal as functions exactly when they are equal coefficientwise.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .ringcore import RingContext, UnivariateFn, digit_table, is_odd_prime
+from .ringcore import RingContext, UnivariateFn, _lagrange_basis, digit_table, is_odd_prime
 from .sequences import LRSequence, LevelSequence, level_sequence
 
 
@@ -88,17 +87,6 @@ def constant_poly(p: int, arity: int, c: int) -> MultivariatePoly:
     return MultivariatePoly(p, arity, {(0,) * arity: c % p})
 
 
-@functools.lru_cache(maxsize=None)
-def _delta_coeffs(p: int, c: int) -> tuple[int, ...]:
-    # Univariate indicator of x = c, i.e. 1 - (x - c)^(p-1), as a dense
-    # coefficient vector of length p.
-    from .ringcore import interpolate
-
-    table = [1 if x == c else 0 for x in range(p)]
-    fn = interpolate(table, p)
-    return tuple(fn.coeff(k) for k in range(p))
-
-
 def from_table(p: int, arity: int, values) -> MultivariatePoly:
     """Interpolate a dense table (product order, x_0 slowest) to canonical form."""
     values = list(values)
@@ -111,7 +99,7 @@ def from_table(p: int, arity: int, values) -> MultivariatePoly:
         v %= p
         if v == 0:
             continue
-        deltas = [_delta_coeffs(p, c) for c in point]
+        deltas = [_lagrange_basis(p, c) for c in point]
         for exps in itertools.product(range(p), repeat=arity):
             term = v
             for d, k in zip(deltas, exps):

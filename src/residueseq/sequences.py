@@ -154,87 +154,55 @@ def alpha_sequence(s: LRSequence, cert: PrimitivityCertificate) -> LevelSequence
     return apply_mod_p(cert.h_f, level(s, 0))
 
 
-def shift_identity_check(
-    s: LRSequence, cert: PrimitivityCertificate, j: int
-) -> int | None:
-    """First t violating the top-level shift identity, or None.
+def identity_failure(
+    s: LRSequence, cert: PrimitivityCertificate
+) -> tuple[int, str, int] | None:
+    """First (j, identity, t) violating a recurring identity, or None.
 
-    Checks a_{e-1}(t + j*p^(e-2)*T) - a_{e-1}(t) = j*alpha(t) mod p over
-    one full period; needs e >= 2.
-    """
-    _check_same_generator(s, cert)
-    ctx = s.f.ctx
-    if ctx.e < 2:
-        raise InvalidInputError("the shift identity needs e >= 2")
-    if j < 0:
-        raise InvalidInputError("j must be nonnegative")
-    p = ctx.p
-    top = level(s, ctx.e - 1)
-    alpha = alpha_sequence(s, cert)
-    shift = j * p ** (ctx.e - 2) * cert.T
-    for t in range(s.period):
-        lhs = (top.at(t + shift) - top.at(t)) % p
-        if lhs != j * alpha.at(t) % p:
-            return t
-    return None
-
-
-def carry_identity_check(
-    s: LRSequence, cert: PrimitivityCertificate, j: int
-) -> int | None:
-    """First t violating the carry expansion identity, or None.
-
-    For e >= 3 the shift by j*p^(e-3)*T of the top level expands into the
-    lower-level data: a linear term from h_f acting on level 1, the digit-1
-    carry of j times h_{e-2} acting on the embedded level 0, the carry of
-    the level-(e-2) increment, and (only for e = 3) a binomial(j, 2)
-    second-order term.
+    For each j in [0, p), checks over one full period the top-level shift
+    identity a_{e-1}(t + j*p^(e-2)*T) - a_{e-1}(t) = j*alpha(t) mod p, then
+    for e >= 3 the carry expansion identity: the shift by j*p^(e-3)*T of
+    the top level expands into a linear term from h_f acting on level 1,
+    the digit-1 carry of j times h_{e-2} acting on the embedded level 0,
+    the carry of the level-(e-2) increment, and (only for e = 3) a
+    binomial(j, 2) second-order term. Needs e >= 2; the streams of s are
+    built once for every j.
     """
     _check_same_generator(s, cert)
     ctx = s.f.ctx
     e, p, m = ctx.e, ctx.p, ctx.modulus
-    if e < 3:
-        raise InvalidInputError("the carry identity needs e >= 3")
-    if j < 0:
-        raise InvalidInputError("j must be nonnegative")
-    a0 = level(s, 0)
-    a1 = level(s, 1)
-    low = level(s, e - 2)
+    if e < 2:
+        raise InvalidInputError("the shift identity needs e >= 2")
     top = level(s, e - 1)
     alpha = alpha_sequence(s, cert)
-    hf_a1 = apply_mod_p(cert.h_f, a1)
-    h_low = compute_h(s.f, e - 2)
-    # h_{e-2} acts on level 0 embedded into Z/(p^e); digit 1 of j times
-    # the result is what carries up.
-    deep = apply_poly_to_sequence(h_low, a0.terms, period=a0.period)
-    binom = 0
-    hf2_a0 = None
-    if e == 3:
-        binom = (j * (j - 1) // 2) % p
-        hf2_a0 = apply_mod_p(cert.h_f, apply_mod_p(cert.h_f, a0))
-    shift = j * p ** (e - 3) * cert.T
-    for t in range(s.period):
-        lhs = (top.at(t + shift) - top.at(t)) % p
-        inc = j * alpha.at(t) % p
-        inc_carry = carry_c1(low.at(t) + inc, p)
-        jdeep = j * deep[t % a0.period] % m
-        rhs = j * hf_a1.at(t) + carry_c1(jdeep, p) + inc_carry
+    if e >= 3:
+        a0 = level(s, 0)
+        low = level(s, e - 2)
+        hf_a1 = apply_mod_p(cert.h_f, level(s, 1))
+        # h_{e-2} acts on level 0 embedded into Z/(p^e); digit 1 of j times
+        # the result is what carries up.
+        deep = apply_poly_to_sequence(compute_h(s.f, e - 2), a0.terms, period=a0.period)
         if e == 3:
-            rhs += binom * hf2_a0.at(t)
-        if lhs != rhs % p:
-            return t
+            hf2_a0 = apply_mod_p(cert.h_f, apply_mod_p(cert.h_f, a0))
+    for j in range(p):
+        shift = j * p ** (e - 2) * cert.T
+        for t in range(s.period):
+            if (top.at(t + shift) - top.at(t) - j * alpha.at(t)) % p:
+                return j, "shift", t
+        if e < 3:
+            continue
+        binom = (j * (j - 1) // 2) % p
+        shift = j * p ** (e - 3) * cert.T
+        for t in range(s.period):
+            lhs = (top.at(t + shift) - top.at(t)) % p
+            inc_carry = carry_c1(low.at(t) + j * alpha.at(t) % p, p)
+            jdeep = j * deep[t % a0.period] % m
+            rhs = j * hf_a1.at(t) + carry_c1(jdeep, p) + inc_carry
+            if e == 3:
+                rhs += binom * hf2_a0.at(t)
+            if lhs != rhs % p:
+                return j, "carry", t
     return None
-
-
-def verify_recurring_identities(
-    s: LRSequence, cert: PrimitivityCertificate, j: int
-) -> bool:
-    """True iff every identity applicable at this e holds at all t."""
-    if shift_identity_check(s, cert, j) is not None:
-        return False
-    if s.f.ctx.e >= 3 and carry_identity_check(s, cert, j) is not None:
-        return False
-    return True
 
 
 def dump_rows(

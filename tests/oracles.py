@@ -10,6 +10,7 @@ from residueseq.compress import format_multipoly, value_table
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.polyring import (
     RingPolynomial,
+    apply_poly_to_sequence,
     one,
     poly_mod,
     poly_mulmod,
@@ -17,9 +18,17 @@ from residueseq.polyring import (
     with_exponent,
     x_poly,
 )
-from residueseq.primitivity import compute_h
-from residueseq.ringcore import format_univariate
-from residueseq.sequences import alpha_sequence, generate, is_primitive_sequence
+from residueseq.primitivity import PrimitivityCertificate, compute_h
+from residueseq.ringcore import carry_c1, format_univariate
+from residueseq.sequences import (
+    LRSequence,
+    _check_same_generator,
+    alpha_sequence,
+    apply_mod_p,
+    generate,
+    is_primitive_sequence,
+    level,
+)
 
 
 def order_of_x_bruteforce(f: RingPolynomial) -> int:
@@ -122,3 +131,87 @@ def equal_at_alpha_k(s_a, s_b, m, cert, k) -> bool:
     table = value_table(m, ctx)
     span = math.lcm(s_a.period, s_b.period, alpha.period)
     return all(table[s_a.at(t)] == table[s_b.at(t)] for t in range(span) if alpha.at(t) == k)
+
+
+def shift_identity_check(
+    s: LRSequence, cert: PrimitivityCertificate, j: int
+) -> int | None:
+    """First t violating the top-level shift identity, or None.
+
+    Checks a_{e-1}(t + j*p^(e-2)*T) - a_{e-1}(t) = j*alpha(t) mod p over
+    one full period; needs e >= 2.
+    """
+    _check_same_generator(s, cert)
+    ctx = s.f.ctx
+    if ctx.e < 2:
+        raise InvalidInputError("the shift identity needs e >= 2")
+    if j < 0:
+        raise InvalidInputError("j must be nonnegative")
+    p = ctx.p
+    top = level(s, ctx.e - 1)
+    alpha = alpha_sequence(s, cert)
+    shift = j * p ** (ctx.e - 2) * cert.T
+    for t in range(s.period):
+        lhs = (top.at(t + shift) - top.at(t)) % p
+        if lhs != j * alpha.at(t) % p:
+            return t
+    return None
+
+
+def carry_identity_check(
+    s: LRSequence, cert: PrimitivityCertificate, j: int
+) -> int | None:
+    """First t violating the carry expansion identity, or None.
+
+    For e >= 3 the shift by j*p^(e-3)*T of the top level expands into the
+    lower-level data: a linear term from h_f acting on level 1, the digit-1
+    carry of j times h_{e-2} acting on the embedded level 0, the carry of
+    the level-(e-2) increment, and (only for e = 3) a binomial(j, 2)
+    second-order term.
+    """
+    _check_same_generator(s, cert)
+    ctx = s.f.ctx
+    e, p, m = ctx.e, ctx.p, ctx.modulus
+    if e < 3:
+        raise InvalidInputError("the carry identity needs e >= 3")
+    if j < 0:
+        raise InvalidInputError("j must be nonnegative")
+    a0 = level(s, 0)
+    a1 = level(s, 1)
+    low = level(s, e - 2)
+    top = level(s, e - 1)
+    alpha = alpha_sequence(s, cert)
+    hf_a1 = apply_mod_p(cert.h_f, a1)
+    h_low = compute_h(s.f, e - 2)
+    # h_{e-2} acts on level 0 embedded into Z/(p^e); digit 1 of j times
+    # the result is what carries up.
+    deep = apply_poly_to_sequence(h_low, a0.terms, period=a0.period)
+    binom = 0
+    hf2_a0 = None
+    if e == 3:
+        binom = (j * (j - 1) // 2) % p
+        hf2_a0 = apply_mod_p(cert.h_f, apply_mod_p(cert.h_f, a0))
+    shift = j * p ** (e - 3) * cert.T
+    for t in range(s.period):
+        lhs = (top.at(t + shift) - top.at(t)) % p
+        inc = j * alpha.at(t) % p
+        inc_carry = carry_c1(low.at(t) + inc, p)
+        jdeep = j * deep[t % a0.period] % m
+        rhs = j * hf_a1.at(t) + carry_c1(jdeep, p) + inc_carry
+        if e == 3:
+            rhs += binom * hf2_a0.at(t)
+        if lhs != rhs % p:
+            return t
+    return None
+
+
+def identity_failure_per_j(s, cert):
+    """identity_failure as the per-j checks: for each j in [0, p) the shift
+    identity, then for e >= 3 the carry identity, each rebuilding its streams."""
+    checks = (("shift", shift_identity_check), ("carry", carry_identity_check))
+    for j in range(s.f.ctx.p):
+        for identity, check in checks[:2 if s.f.ctx.e >= 3 else 1]:
+            t = check(s, cert, j)
+            if t is not None:
+                return j, identity, t
+    return None

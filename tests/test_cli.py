@@ -107,6 +107,25 @@ def test_alpha_k_marker_outside_the_residues_exits_2(capsys, k):
     assert f"k must be in [1, 3), got {k}" in err
 
 
+def test_alpha_k_bad_marker_exits_2_before_any_cell(capsys, monkeypatch):
+    # a bad marker after a good one is caught before the good one's cells
+    calls = []
+    monkeypatch.setattr(analysis, "verify_alpha_k_injectivity",
+                        lambda *a, **kw: calls.append(a))
+    code, out, err = run_cli(capsys, "verify", "alpha-k", "--p", "5", "--e", "3",
+                             "--k", "1,7")
+    assert code == 2 and out == "" and calls == []
+    assert "k must be in [1, 5), got 7" in err
+
+
+def test_alpha_k_generator_of_another_degree_exits_2(capsys):
+    # --f fixes the generator, so its degree must be --n, not override it
+    code, out, err = run_cli(capsys, "verify", "alpha-k", "--p", "3", "--e", "2",
+                             "--n", "3", "--f", "8,8,1")
+    assert code == 2 and out == ""
+    assert "f has degree 2, but n = 3" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("primitive", "check", "--p", "3", "--e", "2", "--f", "8,x,1"),
     ("seq", "gen", "--p", "3", "--e", "2", "--f", "8,8,1", "--init", "a"),

@@ -31,16 +31,18 @@ def _key(*seqs) -> int:
     return sum((i + 1) * v for s in seqs for i, v in enumerate(s.terms))
 
 
-def _shift_check(s, cert, j):
-    if j == 2 and _key(s) % 5 == 3:
-        return _key(s) % s.period
-    return sequences.shift_identity_check(s, cert, j)
+# The genuine identities hold on every default sequence, so a failure
+# injected at (j, identity) is the first one the per-j order meets.
+def _shift_fails(s, cert):
+    if _key(s) % 5 == 3:
+        return 2, "shift", _key(s) % s.period
+    return sequences.identity_failure(s, cert)
 
 
-def _carry_check(s, cert, j):
-    if j == 1 and _key(s) % 7 == 1:
-        return _key(s) % s.period
-    return sequences.carry_identity_check(s, cert, j)
+def _carry_fails(s, cert):
+    if s.f.ctx.e >= 3 and _key(s) % 7 == 1:
+        return 1, "carry", _key(s) % s.period
+    return sequences.identity_failure(s, cert)
 
 
 def _top_level_plus_one(s, i):
@@ -72,8 +74,8 @@ def _proportional_forgotten(u, v, p):
 
 
 INJECTIONS = {
-    "shift_identity_check": ("shift_identity_check", _shift_check),
-    "carry_identity_check": ("carry_identity_check", _carry_check),
+    "shift_identity_check": ("identity_failure", _shift_fails),
+    "carry_identity_check": ("identity_failure", _carry_fails),
     "level_top_plus_one": ("level", _top_level_plus_one),
     "level_constant": ("level", _constant_level),
     "value_set_missing_one": ("_value_set", _value_set_missing_one),

@@ -1,19 +1,22 @@
+import dataclasses
+import random
+
 import pytest
 
+from oracles import identity_failure_per_j
+from residueseq.analysis import _sample_primitive_states
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext
 from residueseq.polyring import RingPolynomial, with_exponent
-from residueseq.primitivity import certify, iter_primitive
+from residueseq.primitivity import certify, find_primitive, iter_primitive
 from residueseq.sequences import (
     alpha_sequence,
-    carry_identity_check,
     dump_rows,
     generate,
+    identity_failure,
     is_primitive_sequence,
     least_period,
     level,
-    shift_identity_check,
-    verify_recurring_identities,
 )
 
 Z9 = RingContext(3, 2)
@@ -147,9 +150,9 @@ def test_alpha_commutes_with_shift():
 
 def test_shift_identity_j0_and_all_j():
     cert = certify(FIB9)
-    s = generate(FIB9, (0, 1))
-    for j in range(3):
-        assert shift_identity_check(s, cert, j) is None
+    assert identity_failure(generate(FIB9, (0, 1)), cert) is None
+    with pytest.raises(InvalidInputError, match="needs e >= 2"):
+        identity_failure(generate(FIB3, (0, 1)), certify(FIB3))
 
 
 def test_shift_identity_all_primitive_states():
@@ -159,9 +162,7 @@ def test_shift_identity_all_primitive_states():
             for s1 in range(9):
                 if s0 % 3 == 0 and s1 % 3 == 0:
                     continue
-                s = generate(f, (s0, s1))
-                for j in range(3):
-                    assert shift_identity_check(s, cert, j) is None
+                assert identity_failure(generate(f, (s0, s1)), cert) is None
 
 
 def test_carry_identity_e3():
@@ -169,11 +170,37 @@ def test_carry_identity_e3():
     cert = certify(f27)
     s = generate(f27, (0, 1))
     assert s.period == 72
-    for j in range(3):
-        assert carry_identity_check(s, cert, j) is None
-        assert verify_recurring_identities(s, cert, j)
+    assert identity_failure(s, cert) is None
     with pytest.raises(InvalidInputError):
-        carry_identity_check(generate(FIB9, (0, 1)), certify(FIB9), 1)
+        identity_failure(s, certify(FIB9))
+
+
+def _h_f_plus_one(cert):
+    h = cert.h_f
+    return dataclasses.replace(cert, h_f=RingPolynomial(h.ctx, (h.constant_term + 1,) + h.coeffs[1:]))
+
+
+def _period_times_p_plus_one(cert):
+    return dataclasses.replace(cert, T=(cert.f.ctx.p + 1) * cert.T)
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (3, 4), (5, 3)])
+def test_identity_failure_matches_per_j_checks(p, e):
+    """One pass over j gives the per-j checks' first failure, when both
+    identities hold, when the shift identity breaks (alpha off by a_0) and
+    when only the carry identity breaks (T scaled by p + 1 moves the
+    top-level shift by whole periods, not the carry shift)."""
+    ctx = RingContext(p, e)
+    genuine = find_primitive(ctx, 2)
+    states = _sample_primitive_states(ctx, 2, 3, random.Random(p * 10 + e))
+    expected = [(genuine, None), (_h_f_plus_one(genuine), (1, "shift")),
+                (_period_times_p_plus_one(genuine), (1, "carry") if e >= 3 else None)]
+    for cert, outcome in expected:
+        for state in states:
+            s = generate(genuine.f, state)
+            got = identity_failure(s, cert)
+            assert got == identity_failure_per_j(s, cert)
+            assert (got[:2] if got else None) == outcome
 
 
 def test_dump_rows_columns():
