@@ -11,11 +11,14 @@ sampling and marks the report accordingly.
 from __future__ import annotations
 
 import bisect
+import functools
 import inspect
 import itertools
 import math
+import operator
 import random
 import time
+from array import array
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -208,39 +211,71 @@ def s_uniform(
 # ---------------------------------------------------------------------------
 # state enumeration
 
-def shift_classes(f: RingPolynomial, states=None):
-    """Shift-class representatives of the sequences of f started from
-    states, by default every primitive initial state (nonzero mod p).
+def _state_codes(seq: LRSequence):
+    """The base-p^e codes of the states of one least period of seq, by
+    offset; the first entry is most significant, so int order is lex order."""
+    m, terms, period = seq.f.ctx.modulus, seq.terms, seq.period
+    codes = terms
+    for k in range(1, seq.f.degree):  # Horner, entry k read k terms on
+        k %= period
+        codes = map(operator.add, map(operator.mul, codes, itertools.repeat(m)),
+                    terms[k:] + terms[:k])
+    return codes
 
-    Returns (reps, index); index maps every state of those classes to
-    (class number, rotation offset), and the state's sequence is
-    reps[ci].shifted(offset). Verdicts of rotation-invariant checks carry
-    over from the rep to the whole class.
+
+def shift_classes(f: RingPolynomial, primitive: bool = True):
+    """Shift-class representatives of the sequences of f started from every
+    primitive initial state (nonzero mod p), or from every state.
+
+    Returns (reps, walked): reps in lex order of their initial state, each
+    the least state of its class, and walked the number of states the
+    walk marked. Verdicts of rotation-invariant checks carry over from the
+    rep to the whole class. The walk keeps one byte per state code and the
+    reps; _slots adds random access to the states.
     """
+    m, n = f.ctx.modulus, f.degree
+    seen = bytearray(m**n)  # by state code: 0 unseen, 1 walked, 2 left out
+    if primitive:
+        for state in itertools.product(range(0, m, f.ctx.p), repeat=n):
+            seen[functools.reduce(lambda c, v: c * m + v, state)] = 2
     reps: list[LRSequence] = []
-    index: dict[tuple[int, ...], tuple[int, int]] = {}
-    if states is None:
-        states = (st for st in itertools.product(range(f.ctx.modulus), repeat=f.degree)
-                  if any(v % f.ctx.p for v in st))
-    for state in states:
-        if state in index:
-            continue
-        s = generate(f, state)
-        ci = len(reps)
+    code = seen.find(0)
+    while code >= 0:
+        s = generate(f, (code // m**(n - 1 - k) % m for k in range(n)))
         reps.append(s)
-        # the states of one least period are distinct and in no earlier class;
-        # state_at(t) is terms[t:t+n] read cyclically
-        wrapped = tuple(itertools.islice(itertools.cycle(s.terms), s.period + f.degree - 1))
-        states_of = zip(*(wrapped[j:j + s.period] for j in range(f.degree)))
-        index.update(zip(states_of, zip(itertools.repeat(ci), range(s.period))))
-    return reps, index
+        # the states of one least period are distinct and in no earlier class
+        for c in _state_codes(s):
+            seen[c] = 1
+        code = seen.find(0, code)
+    return reps, seen.count(1)
 
 
-def _sequences(f: RingPolynomial, states) -> dict:
-    """The sequence of f from every state of the shift classes of states,
-    each a rotation of its class rep."""
-    reps, index = shift_classes(f, states)
-    return {st: reps[ci].shifted(off) for st, (ci, off) in index.items()}
+def _slots(reps) -> array:
+    """For the states of the classes of reps in lex order, the place of
+    each in the periods of reps laid end to end: ci * L + offset when every
+    period is L."""
+    f = reps[0].f
+    where = array("q", [-1]) * f.ctx.modulus**f.degree
+    for i, c in enumerate(itertools.chain.from_iterable(map(_state_codes, reps))):
+        where[c] = i
+    return array("q", (i for i in where if i >= 0))
+
+
+@functools.lru_cache(maxsize=2)
+def _atlas(f: RingPolynomial, primitive: bool = True):
+    """(reps, _slots(reps)) for shift_classes(f, primitive): random access
+    to the states, cached and bounded for the cells that share f;
+    read-only."""
+    reps, _ = shift_classes(f, primitive)
+    return tuple(reps), _slots(reps)
+
+
+def _sequences(f: RingPolynomial, primitive: bool = True) -> list[LRSequence]:
+    """The sequence of f from each primitive state, or from every state, in
+    lex order of the state; each a rotation of its class rep."""
+    reps, slots = _atlas(f, primitive)
+    laid = [rep.shifted(off) for rep in reps for off in range(rep.period)]
+    return [laid[i] for i in slots]
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +334,14 @@ def verify_alpha_k_injectivity(
     if m.g.degree >= 2 and not cert.strongly_primitive:
         raise InvalidInputError("deg g >= 2 requires a strongly primitive polynomial")
     table = value_table(m, ctx)  # also rejects a map that does not fit the ring
-    reps, index = shift_classes(cert.f)
+    reps, slots = _atlas(cert.f)
     rows = [[table[v] for v in rep.terms] for rep in reps]
     alphas = [alpha_sequence(rep, cert) for rep in reps]
     marks = [[t for t in range(len(row)) if alpha.at(t) == k] for row, alpha in zip(rows, alphas)]
     # state (ci, r) is bit ci*L + r: every primitive state of f has the same
     # least period L, so a rotation of every L-bit block rotates every class
     period = reps[0].period
-    total = len(index)
+    total = len(slots)
     full = (1 << total) - 1
     blocks = sum(1 << (ci * period) for ci in range(len(reps)))
     by_value: dict[int, int] = {}
@@ -320,11 +355,11 @@ def verify_alpha_k_injectivity(
         high = full ^ low
         agree.append({v: (mask >> t) & low | (mask << (period - t)) & high
                       for v, mask in by_value.items()})
-    states = sorted(index)
 
-    def bit(state):
-        ci, r = index[state]
-        return ci * period + r
+    def state(i):
+        """The i-th state in lex order; its bit is slots[i]."""
+        ci, r = divmod(slots[i], period)
+        return list(reps[ci].state_at(r))
 
     # rows of one ceil(N/64)-word mask each that fit beside the L*|V| of agree
     allowed = max(1, budget // -(-total // 64) - period * len(by_value))
@@ -334,7 +369,7 @@ def verify_alpha_k_injectivity(
     def masks(ia):
         """The number of a's k-positions and, lazily, their agreement masks
         in ascending t."""
-        ci, r = index[states[ia]]
+        ci, r = divmod(slots[ia], period)
         row, ms = rows[ci], marks[ci]
         cut = bisect.bisect_left(ms, r)
         return len(ms), (agree[(t - r) % period][row[t]] for t in ms[cut:] + ms[:cut])
@@ -343,20 +378,20 @@ def verify_alpha_k_injectivity(
     checked = 0
     pairs = len(walk) * total
     for j, ia in enumerate(walk):
-        abit = 1 << bit(states[ia])
+        abit = 1 << slots[ia]
         done, agreeing = _walk_row(full, abit, *masks(ia))
         others = agreeing & ~abit
         if others:
             flags = format(others, f"0{total}b")[::-1]  # flags[i] is bit i
-            ib = next(ib for ib, st in enumerate(states) if flags[bit(st)] == "1")
+            ib = next(ib for ib, b in enumerate(slots) if flags[b] == "1")
             # the pairwise scan stops at (a, b): recount a's row up to it
             upto = bytearray(b"0" * total)
-            for st in states[:ib + 1]:
-                upto[~bit(st)] = ord("1")
+            for b in slots[:ib + 1]:
+                upto[~b] = ord("1")
             done, _ = _walk_row(int(upto, 2), abit, *masks(ia))
             checked += done
             pairs = j * total + ib + 1
-            witness = {"a_state": list(states[ia]), "b_state": list(states[ib]), "k": k}
+            witness = {"a_state": state(ia), "b_state": state(ib), "k": k}
             break
         checked += done
 
@@ -474,18 +509,19 @@ def count_uniform_s(
     phi = value_table(m, ctx)
     img = set(phi)
 
-    reps, index = shift_classes(cert.f)
+    reps, walked = shift_classes(cert.f)
     period = reps[0].period if reps else 1
     positions = 0
     sampled = len(reps) * period * p > budget
     if sampled:
-        rng = random.Random(seed)
-        states = sorted(rng.sample(sorted(index), max(1, budget // (period * p))))
-        seqs = [reps[ci].shifted(off) for ci, off in (index[st] for st in states)]
+        slots = _slots(reps)
+        # a sample of the lex-ordered states draws by their number alone
+        drawn = sorted(random.Random(seed).sample(range(len(slots)), max(1, budget // (period * p))))
+        seqs = [reps[ci].shifted(off) for ci, off in (divmod(slots[i], period) for i in drawn)]
         pairs = len(seqs)
     else:
         seqs = reps
-        pairs = len(index)
+        pairs = walked
 
     holding = []
     vacuous = []
@@ -629,7 +665,7 @@ def _period_failure(ctx: RingContext, n: int):
     orbits = generators = 0
     for f in iter_primitive(ctx, n):
         generators += 1
-        for seq in shift_classes(f, itertools.product(range(ctx.modulus), repeat=n))[0]:
+        for seq in shift_classes(f, primitive=False)[0]:
             orbits += 1
             levels = [level(seq, i) for i in range(e)]
             lowest = next((i for i, lvl in enumerate(levels) if not lvl.is_zero()), None)
@@ -678,10 +714,10 @@ def _linear_relation_failure(ctx: RingContext, n: int):
     p = ctx.p
     cells = 0
     for f in iter_primitive(ctx, n):
-        seqs = _sequences(f, itertools.product(range(p), repeat=n))
-        levels = {st: level_sequence(p, seqs[st].terms) for st in sorted(seqs)}
-        for sa, a in levels.items():
-            for sb, b in levels.items():
+        levels = [(s.initial_state, level_sequence(p, s.terms))
+                  for s in _sequences(f, primitive=False)]
+        for sa, a in levels:
+            for sb, b in levels:
                 if not any(sb):
                     continue
                 lam = _proportional(a, b, p)
@@ -705,10 +741,8 @@ def _relation_failure(ctx: RingContext, n: int):
     cells = 0
     for f in itertools.islice(iter_primitive(ctx, n), 2):
         f1 = RingPolynomial(RingContext(p, 1), tuple(c % p for c in f.coeffs))
-        g_seqs = _sequences(f1, (gs for gs in itertools.product(range(p), repeat=n) if any(gs)))
-        gammas = [level_sequence(p, g_seqs[gs].terms) for gs in sorted(g_seqs)]
-        c_seqs = _sequences(f, itertools.product(range(ctx.modulus), repeat=n))
-        for c_state, c_seq in sorted(c_seqs.items()):
+        gammas = [level_sequence(p, s.terms) for s in _sequences(f1)]
+        for c_seq in _sequences(f, primitive=False):
             c_top = level(c_seq, e - 1)
             lower_zero = all(level(c_seq, i).is_zero() for i in range(e - 1))
             for gamma in gammas:
@@ -719,7 +753,7 @@ def _relation_failure(ctx: RingContext, n: int):
                         continue
                     lam = _proportional(c_top, gamma, p) if len(got) == 1 else None
                     if not lower_zero or lam is None or got != {lam * k % p}:
-                        return {"f": _fmt_coeffs(f), "state": list(c_state), "k": k,
+                        return {"f": _fmt_coeffs(f), "state": list(c_seq.initial_state), "k": k,
                                 "got": sorted(got)}, cells
     return None, cells
 
@@ -735,15 +769,17 @@ def _highest_level_failure(ctx: RingContext, n: int):
     cells = 0
     for f in itertools.islice(iter_primitive(ctx, n, strongly=True), 2):
         cert = certify(f)
-        reps, index = shift_classes(f)
+        reps, slots = _atlas(f)
         rep_alphas = [alpha_sequence(rep, cert) for rep in reps]
-        # each state's sequence, top level and alpha (rotated from its class rep's)
-        data = {}
-        for st, (ci, off) in sorted(index.items()):
+        period = reps[0].period
+        # each state's sequence, top level and alpha (rotated from its class
+        # rep's), in lex order of the state
+        data = []
+        for ci, off in (divmod(i, period) for i in slots):
             seq = reps[ci].shifted(off)
-            data[st] = seq, level(seq, e - 1), rep_alphas[ci].shifted(off)
-        for sa, (a_seq, a_top, alpha) in data.items():
-            for sb, (b_seq, b_top, beta) in data.items():
+            data.append((seq, level(seq, e - 1), rep_alphas[ci].shifted(off)))
+        for a_seq, a_top, alpha in data:
+            for b_seq, b_top, beta in data:
                 lam = _proportional(beta, alpha, p)
                 if not lam:  # None, or the zero multiple
                     continue
@@ -760,7 +796,8 @@ def _highest_level_failure(ctx: RingContext, n: int):
                     diff_ok = all((b_top.at(t) - a_top.at(t)) % p == delta * kinv * alpha.at(t) % p
                                   for t in range(span))
                     if lam != 1 or not lower_equal or not diff_ok:
-                        return {"f": _fmt_coeffs(f), "a_state": list(sa), "b_state": list(sb),
+                        return {"f": _fmt_coeffs(f), "a_state": list(a_seq.initial_state),
+                                "b_state": list(b_seq.initial_state),
                                 "k": k, "lambda": lam, "delta": delta}, cells
     return None, cells
 
@@ -871,7 +908,7 @@ def suite_thm7(ps=(3, 5), e: int = 2, n: int = 2) -> list[UniformityReport]:
                     {"positions": 2, "pairs": 0}, False, 0, started)
         )
 
-        reps, index = shift_classes(cert.f)
+        reps, walked = shift_classes(cert.f)
         for s in range(p):
             started = time.perf_counter()
             m = construct_thm7(g, s, e)
@@ -879,7 +916,7 @@ def suite_thm7(ps=(3, 5), e: int = 2, n: int = 2) -> list[UniformityReport]:
                 reps, value_table(m, ctx), ctx.modulus - 1, s)
             params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x",
                       "s": s, "eta": format_multipoly(m.eta)}
-            counts = {"positions": positions, "pairs": len(index)}
+            counts = {"positions": positions, "pairs": walked}
             reports.append(_report("thm7", params, witness, counts, False, 0, started))
     return reports
 
@@ -904,7 +941,7 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
                     {"positions": 1, "pairs": 0}, False, 0, started)
         )
 
-        reps, index = shift_classes(cert.f)
+        reps, walked = shift_classes(cert.f)
         for s in range(p):
             started = time.perf_counter()
             m = construct_thm8(g, s, lam, 0, e)
@@ -918,7 +955,7 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
                 reps, value_table(m, ctx), ctx.modulus - 1, s)
             params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x^2",
                       "s": s, "lambda": lam, "eta": format_multipoly(m.eta)}
-            counts = {"positions": positions, "pairs": len(index)}
+            counts = {"positions": positions, "pairs": walked}
             reports.append(_report("thm8", params, witness, counts, False, 0, started))
     return reports
 

@@ -92,6 +92,13 @@ def generate(f: RingPolynomial, init) -> LRSequence:
 
     Requires a unit constant term so the state map is a bijection and the
     first return to the initial state is the least period.
+
+    The state is packed into one int, entry k in slot k of w bits, and the
+    coefficients c_{n-1}, ..., c_0 into another, so that slot n-1 of their
+    product is the next term before reduction mod m = p^e. A slot of the
+    product sums at most n products of two residues, each at most (m-1)^2,
+    and w = bit_length(n*m^2) holds n*(m-1)^2: no slot carries into the
+    next, and the kernel is exact.
     """
     n = f.degree
     if not f.is_monic or n < 1:
@@ -102,20 +109,24 @@ def generate(f: RingPolynomial, init) -> LRSequence:
     if len(init) != n:
         raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
     m = f.ctx.modulus
-    cs = recurrence_coeffs(f)
-    limit = ward_bound(f)
+    w = (n * m * m).bit_length()
+    slot = (1 << w) - 1
+    top = w * (n - 1)
+    coeffs = start = 0
+    for c, v in zip(recurrence_coeffs(f), reversed(init)):
+        coeffs = coeffs << w | c
+        start = start << w | v
     terms = list(init)
-    state = init
-    for t in range(1, limit + 1):
-        nxt = sum(c * s for c, s in zip(cs, state)) % m
-        state = state[1:] + (nxt,)
-        if state == init:
-            period = t
+    code = start
+    for t in range(1, ward_bound(f) + 1):
+        nxt = (code * coeffs >> top & slot) % m
+        code = code >> w | nxt << top
+        if code == start:
             break
         terms.append(nxt)
     else:
         raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
-    return LRSequence(f=f, initial_state=init, terms=tuple(terms[:period]), period=period)
+    return LRSequence(f=f, initial_state=init, terms=tuple(terms[:t]), period=t)
 
 
 def level(s: LRSequence, i: int) -> LevelSequence:
@@ -166,19 +177,22 @@ def identity_failure(
     the digit-1 carry of j times h_{e-2} acting on the embedded level 0,
     the carry of the level-(e-2) increment, and (only for e = 3) a
     binomial(j, 2) second-order term. Needs e >= 2; the streams of s are
-    built once for every j.
+    built once for every j, each digit stream once.
     """
     _check_same_generator(s, cert)
     ctx = s.f.ctx
     e, p, m = ctx.e, ctx.p, ctx.modulus
     if e < 2:
         raise InvalidInputError("the shift identity needs e >= 2")
+    if not is_primitive_sequence(s, cert):
+        raise InvalidInputError("alpha is only defined for primitive sequences")
     top = level(s, e - 1)
-    alpha = alpha_sequence(s, cert)
+    a0 = level(s, 0)
+    alpha = apply_mod_p(cert.h_f, a0)  # alpha_sequence(s, cert)
     if e >= 3:
-        a0 = level(s, 0)
-        low = level(s, e - 2)
-        hf_a1 = apply_mod_p(cert.h_f, level(s, 1))
+        a1 = level(s, 1)
+        low = a1 if e == 3 else level(s, e - 2)
+        hf_a1 = apply_mod_p(cert.h_f, a1)
         # h_{e-2} acts on level 0 embedded into Z/(p^e); digit 1 of j times
         # the result is what carries up.
         deep = apply_poly_to_sequence(compute_h(s.f, e - 2), a0.terms, period=a0.period)

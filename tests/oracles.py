@@ -28,7 +28,59 @@ from residueseq.sequences import (
     generate,
     is_primitive_sequence,
     level,
+    recurrence_coeffs,
 )
+
+
+def generate_by_tuple_state(f: RingPolynomial, init) -> LRSequence:
+    """generate as a loop over tuple states: one dot product and one tuple
+    rebuild per term, until the initial state recurs."""
+    n = f.degree
+    if not f.is_monic or n < 1:
+        raise InvalidInputError("generator must be monic of degree >= 1")
+    if not f.unit_constant_mod_p():
+        raise InvalidInputError("f(0) must be a unit mod p")
+    init = tuple(v % f.ctx.modulus for v in init)
+    if len(init) != n:
+        raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
+    m = f.ctx.modulus
+    cs = recurrence_coeffs(f)
+    limit = ward_bound(f)
+    terms = list(init)
+    state = init
+    for t in range(1, limit + 1):
+        nxt = sum(c * s for c, s in zip(cs, state)) % m
+        state = state[1:] + (nxt,)
+        if state == init:
+            period = t
+            break
+        terms.append(nxt)
+    else:
+        raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
+    return LRSequence(f=f, initial_state=init, terms=tuple(terms[:period]), period=period)
+
+
+def shift_classes_by_dict(f: RingPolynomial, states=None):
+    """shift_classes as a walk over tuple states, in the order given (by
+    default every primitive state in lex order), with a dict from every
+    state reached to (class number, rotation offset); returns (reps, index)."""
+    reps: list[LRSequence] = []
+    index: dict[tuple[int, ...], tuple[int, int]] = {}
+    if states is None:
+        states = (st for st in itertools.product(range(f.ctx.modulus), repeat=f.degree)
+                  if any(v % f.ctx.p for v in st))
+    for state in states:
+        if state in index:
+            continue
+        s = generate_by_tuple_state(f, state)
+        ci = len(reps)
+        reps.append(s)
+        # the states of one least period are distinct and in no earlier class;
+        # state_at(t) is terms[t:t+n] read cyclically
+        wrapped = tuple(itertools.islice(itertools.cycle(s.terms), s.period + f.degree - 1))
+        states_of = zip(*(wrapped[j:j + s.period] for j in range(f.degree)))
+        index.update(zip(states_of, zip(itertools.repeat(ci), range(s.period))))
+    return reps, index
 
 
 def order_of_x_bruteforce(f: RingPolynomial) -> int:

@@ -4,7 +4,11 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import equal_at_alpha_k, verify_alpha_k_injectivity_per_state
+from oracles import (
+    equal_at_alpha_k,
+    shift_classes_by_dict,
+    verify_alpha_k_injectivity_per_state,
+)
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn
 from residueseq.polyring import RingPolynomial
@@ -109,15 +113,39 @@ def test_s_uniform_marker_modes():
 
 
 def test_shift_classes_partition():
-    reps, index = shift_classes(FIB9)
-    assert len(index) == 72
+    reps, walked = shift_classes(FIB9)
+    assert walked == 72
     assert len(reps) == 3
     assert all(rep.period == 24 for rep in reps)
     # every rotation of a rep maps back to its class
+    assert analysis._atlas(FIB9)[0] == tuple(reps)
+    slots = analysis._atlas(FIB9)[1]
+    lex = sorted(rep.state_at(t) for rep in reps for t in range(rep.period))
     for ci, rep in enumerate(reps):
         for t in range(rep.period):
-            got_ci, off = index[rep.state_at(t)]
+            got_ci, off = divmod(slots[lex.index(rep.state_at(t))], 24)
             assert got_ci == ci and off == t
+
+
+@pytest.mark.parametrize("primitive", [True, False])
+@pytest.mark.parametrize("f", [
+    FIB9,
+    RingPolynomial(RingContext(5, 2), (2, 1, 1)),
+    RingPolynomial(RingContext(3, 2), (1, 0, 2, 1)),
+])
+def test_shift_classes_matches_the_dict_walk(f, primitive):
+    m, n, p = f.ctx.modulus, f.degree, f.ctx.p
+    want_reps, index = shift_classes_by_dict(
+        f, None if primitive else itertools.product(range(m), repeat=n))
+    reps, walked = shift_classes(f, primitive)
+    # the same reps in the same order, from the same states, with the same terms
+    assert reps == want_reps
+    assert walked == len(index) == (m**n - (m // p) ** n if primitive else m**n)
+    # the same (class, offset) for every state
+    starts = list(itertools.accumulate((rep.period for rep in reps), initial=0))
+    assert analysis._atlas(f, primitive)[0] == tuple(reps)
+    assert list(analysis._atlas(f, primitive)[1]) == [
+        starts[ci] + off for ci, off in (index[st] for st in sorted(index))]
 
 
 def test_equal_at_alpha_k():
@@ -375,6 +403,19 @@ def test_count_uniform_s_sampled():
     assert uc.sampled
     uc2 = count_uniform_s(cert, m, ctx.modulus - 1, budget=500, seed=1)
     assert uc == uc2
+    # the draws are pinned: random.sample sees the primitive states as a
+    # lex-ordered population, whatever the state walk keeps internally
+    assert uc == analysis.UniformCount(
+        holding=(0, 4), vacuous=(),
+        failing={1: {"state": [5, 22], "t": 2, "s": 1}, 2: {"state": [5, 22], "t": 1, "s": 2},
+                 3: {"state": [5, 22], "t": 1, "s": 3}},
+        pairs=1, positions=247, sampled=True, seed=1)
+    uc = count_uniform_s(cert, m, ctx.modulus - 1, budget=2400, seed=2)
+    assert uc == analysis.UniformCount(
+        holding=(0, 4), vacuous=(),
+        failing={1: {"state": [2, 12], "t": 2, "s": 1}, 2: {"state": [2, 12], "t": 0, "s": 2},
+                 3: {"state": [2, 12], "t": 0, "s": 3}},
+        pairs=4, positions=965, sampled=True, seed=2)
 
 
 def test_count_uniform_s_needs_strong():

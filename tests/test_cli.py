@@ -226,6 +226,20 @@ def test_alpha_k_p5_matches_bench_reference_digest(capsys, seed):
     assert digest == digests["workloads"]["alpha-k-p5"]["stdout_sha256"][seed]
 
 
+@pytest.mark.parametrize("budget, digest", [
+    ("100000", "75ba80dab2dbfa600a51b5133d57dc82cb9b9c850f0f48cbd37feb93e2af199f"),
+    ("1000000", "ad5cafe232a7a997342b1ff0a4b73ce52f685cc3ffb776d7fc1c1d340e7fe496"),
+])
+def test_sampled_thm9_matches_its_pinned_digest(capsys, budget, digest):
+    # sampled thm9 draws 1 and 12 of the 83,232 primitive states at p=17;
+    # the digests pin which states are drawn and every count they give
+    code, out, _ = run_cli(capsys, "verify", "thm9", "--p", "17", "--budget", budget,
+                           "--seed", "3")
+    assert code == 0
+    assert '"sampled": true' in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "legendre", "--p", "3,5")
     assert code == 0

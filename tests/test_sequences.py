@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import identity_failure_per_j
+from oracles import generate_by_tuple_state, identity_failure_per_j
 from residueseq.analysis import _sample_primitive_states
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext
@@ -70,6 +72,35 @@ def test_rotated_levels_and_alpha_are_those_of_the_rotated_sequence():
         for r in range(-1, 2 * s.period + 1):
             assert a.shifted(r) == alpha_sequence(s.shifted(r), cert)
             assert top.shifted(r) == level(s.shifted(r), f.ctx.e - 1)
+
+
+# rings (p, e, n) small enough for the tuple-state oracle
+KERNEL_RINGS = [(p, e, n) for p in (3, 5, 7, 11, 13) for e in range(1, 5) for n in range(1, 5)
+                if p ** (e * n) <= 3**8]
+
+
+@functools.lru_cache(maxsize=None)
+def _first_primitive(p, e, n):
+    return find_primitive(RingContext(p, e), n).f
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=st.sampled_from(KERNEL_RINGS), primitive=st.booleans(), data=st.data())
+def test_generate_matches_the_tuple_state_oracle(ring, primitive, data):
+    p, e, n = ring
+    ctx = RingContext(p, e)
+    m = ctx.modulus
+    residues = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+    if primitive:
+        f = _first_primitive(p, e, n)
+    else:  # monic with a unit constant term, primitive or not
+        f = RingPolynomial(ctx, tuple(data.draw(residues.filter(lambda c: c[0] % p))) + (1,))
+    for state in ((0,) * n, (m - 1,) * n, tuple(data.draw(residues))):
+        assert generate(f, state) == generate_by_tuple_state(f, state)
+    # every recurrence coefficient m - 1 on every entry m - 1: each slot of
+    # the packed product takes its largest sum, n * (m - 1)^2
+    ones = RingPolynomial(ctx, (1,) * (n + 1))
+    assert generate(ones, (m - 1,) * n) == generate_by_tuple_state(ones, (m - 1,) * n)
 
 
 def test_generate_errors():
@@ -153,6 +184,8 @@ def test_shift_identity_j0_and_all_j():
     assert identity_failure(generate(FIB9, (0, 1)), cert) is None
     with pytest.raises(InvalidInputError, match="needs e >= 2"):
         identity_failure(generate(FIB3, (0, 1)), certify(FIB3))
+    with pytest.raises(InvalidInputError, match="only defined for primitive"):
+        identity_failure(generate(FIB9, (3, 6)), cert)
 
 
 def test_shift_identity_all_primitive_states():
