@@ -278,6 +278,13 @@ def _sequences(f: RingPolynomial, primitive: bool = True) -> list[LRSequence]:
     return [laid[i] for i in slots]
 
 
+@functools.lru_cache(maxsize=2)
+def _class_alphas(cert: PrimitivityCertificate) -> tuple[LevelSequence, ...]:
+    """alpha_sequence of each class rep of _atlas(cert.f), built once for
+    the cells that share the generator; read-only."""
+    return tuple(alpha_sequence(rep, cert) for rep in _atlas(cert.f)[0])
+
+
 # ---------------------------------------------------------------------------
 # agreement at the marker value k
 
@@ -336,8 +343,8 @@ def verify_alpha_k_injectivity(
     table = value_table(m, ctx)  # also rejects a map that does not fit the ring
     reps, slots = _atlas(cert.f)
     rows = [[table[v] for v in rep.terms] for rep in reps]
-    alphas = [alpha_sequence(rep, cert) for rep in reps]
-    marks = [[t for t in range(len(row)) if alpha.at(t) == k] for row, alpha in zip(rows, alphas)]
+    marks = [[t for t in range(len(row)) if alpha.at(t) == k]
+             for row, alpha in zip(rows, _class_alphas(cert))]
     # state (ci, r) is bit ci*L + r: every primitive state of f has the same
     # least period L, so a rotation of every L-bit block rotates every class
     period = reps[0].period
@@ -770,7 +777,7 @@ def _highest_level_failure(ctx: RingContext, n: int):
     for f in itertools.islice(iter_primitive(ctx, n, strongly=True), 2):
         cert = certify(f)
         reps, slots = _atlas(f)
-        rep_alphas = [alpha_sequence(rep, cert) for rep in reps]
+        rep_alphas = _class_alphas(cert)
         period = reps[0].period
         # each state's sequence, top level and alpha (rotated from its class
         # rep's), in lex order of the state

@@ -1,12 +1,15 @@
 """Univariate polynomial arithmetic over Z/(p^e) modulo a monic f(x).
 
-Schoolbook multiplication throughout; degrees stay single-digit at the
-scales this package targets.
+Schoolbook multiplication in one kernel on coefficient tuples; degrees
+stay single-digit at the scales this package targets. The order of x mod
+f comes by prime descent from an lcm bound over Z/p, cached per residue
+of f mod p, then is lifted to Z/(p^e) by p-th powers.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .errors import CertificateError, InvalidInputError
@@ -89,18 +92,41 @@ def _require_same_ctx(*polys: RingPolynomial) -> RingContext:
     return ctx
 
 
-def _reduce(coeffs: list[int], f: RingPolynomial, m: int) -> tuple[int, ...]:
-    # Remainder of division by monic f; operates on a mutable copy.
-    n = f.degree
-    fc = f.coeffs
+def _reduce(coeffs: list[int], fc: tuple[int, ...], m: int) -> tuple[int, ...]:
+    # Canonical remainder mod m of division by monic f (coefficients fc).
+    n = len(fc) - 1
     for k in range(len(coeffs) - 1, n - 1, -1):
-        c = coeffs[k]
+        c = coeffs[k] % m
         if c:
-            coeffs[k] = 0
             base = k - n
             for i in range(n):
-                coeffs[base + i] = (coeffs[base + i] - c * fc[i]) % m
-    return tuple(coeffs[:n])
+                coeffs[base + i] -= c * fc[i]
+    cs = [c % m for c in coeffs[:n]]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _mulmod(a: tuple[int, ...], b: tuple[int, ...], fc: tuple[int, ...], m: int) -> tuple[int, ...]:
+    # (a * b) mod f on canonical coefficient tuples below deg f
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _reduce(prod, fc, m)
+
+
+def _powmod(base: tuple[int, ...], k: int, fc: tuple[int, ...], m: int) -> tuple[int, ...]:
+    # base^k mod f by square and multiply; base canonical below deg f
+    result = (1,)
+    while k:
+        if k & 1:
+            result = _mulmod(result, base, fc, m)
+        k >>= 1
+        if k:
+            base = _mulmod(base, base, fc, m)
+    return result
 
 
 def poly_mod(a: RingPolynomial, f: RingPolynomial) -> RingPolynomial:
@@ -108,45 +134,25 @@ def poly_mod(a: RingPolynomial, f: RingPolynomial) -> RingPolynomial:
     _require_same_ctx(a, f)
     if not f.is_monic:
         raise InvalidInputError("modulus polynomial must be monic")
-    if a.degree < f.degree:
-        return a
-    return RingPolynomial(a.ctx, _reduce(list(a.coeffs), f, a.ctx.modulus))
+    return RingPolynomial(a.ctx, _reduce(list(a.coeffs), f.coeffs, a.ctx.modulus))
 
 
-def poly_mulmod(
-    a: RingPolynomial, b: RingPolynomial, f: RingPolynomial
-) -> RingPolynomial:
+def poly_mulmod(a: RingPolynomial, b: RingPolynomial, f: RingPolynomial) -> RingPolynomial:
     """(a * b) mod f for monic f; inputs already reduced below deg f."""
     ctx = _require_same_ctx(a, b, f)
     if not f.is_monic:
         raise InvalidInputError("modulus polynomial must be monic")
     if a.degree >= f.degree or b.degree >= f.degree:
         raise InvalidInputError("operands must have degree below deg f")
-    if a.is_zero() or b.is_zero():
-        return RingPolynomial(ctx, ())
-    m = ctx.modulus
-    prod = [0] * (a.degree + b.degree + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(b.coeffs):
-                prod[i + j] = (prod[i + j] + ai * bj) % m
-    return RingPolynomial(ctx, _reduce(prod, f, m))
+    return RingPolynomial(ctx, _mulmod(a.coeffs, b.coeffs, f.coeffs, ctx.modulus))
 
 
 def poly_powmod(base: RingPolynomial, k: int, f: RingPolynomial) -> RingPolynomial:
     """base^k mod f by square and multiply; the base is reduced first."""
     if k < 0:
         raise InvalidInputError(f"exponent must be nonnegative, got {k}")
-    _require_same_ctx(base, f)
-    result = one(base.ctx)
     acc = poly_mod(base, f)
-    while k:
-        if k & 1:
-            result = poly_mulmod(result, acc, f)
-        k >>= 1
-        if k:
-            acc = poly_mulmod(acc, acc, f)
-    return result
+    return RingPolynomial(base.ctx, _powmod(acc.coeffs, k, f.coeffs, base.ctx.modulus))
 
 
 def ward_bound(f: RingPolynomial) -> int:
@@ -168,61 +174,58 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def _sorted_divisors(factors: dict[int, int]) -> list[int]:
-    divisors = [1]
-    for q, mult in factors.items():
-        divisors = [d * q**i for d in divisors for i in range(mult + 1)]
-    return sorted(divisors)
-
-
 @functools.lru_cache(maxsize=None)
-def _period_candidates(p: int, n: int) -> tuple[int, ...]:
-    # Every least period over Z/p of a degree-n polynomial with unit
-    # constant term divides lcm(p^d - 1 : d <= n) * p^ceil(log_p n):
-    # factor into irreducible powers and combine their periods.
+def _period_bound(p: int, n: int) -> tuple[int, tuple[int, ...]]:
+    # (N, the primes dividing N): every least period over Z/p of a degree-n
+    # polynomial with unit constant term divides N = lcm(p^d - 1 : d <= n)
+    # * p^ceil(log_p n); factor into irreducible powers, combine periods.
     factors: dict[int, int] = {}
     for d in range(1, n + 1):
         for q, mult in _factorize(p**d - 1).items():
             factors[q] = max(factors.get(q, 0), mult)
-    m = 0
-    while p**m < n:
-        m += 1
-    if m:
-        factors[p] = max(factors.get(p, 0), m)
-    return tuple(_sorted_divisors(factors))
+    factors[p] = 0  # p divides no p^d - 1
+    while p ** factors[p] < n:
+        factors[p] += 1
+    return math.prod(q**k for q, k in factors.items()), tuple(filter(factors.get, factors))
+
+
+@functools.lru_cache(maxsize=4096)
+def _order_mod_p(p: int, fc: tuple[int, ...]) -> int:
+    # The order of x mod f over Z/p (fc: f mod p) by descent from the bound
+    # N, or 0 when x^N != 1; every lift of one residue shares it, and the
+    # cache is bounded so that a long random search keeps its memory.
+    N, primes = _period_bound(p, len(fc) - 1)
+    x = _reduce([0, 1], fc, p)
+    if _powmod(x, N, fc, p) != (1,):
+        return 0
+    t = N
+    for q in primes:
+        while t % q == 0 and _powmod(x, t // q, fc, p) == (1,):
+            t //= q
+    return t
 
 
 def order_of_x(f: RingPolynomial) -> int:
     """Least T > 0 with x^T = 1 mod f over Z/(p^e).
 
-    Scans the divisor candidates for the order over Z/p, then multiplies
-    by the least power of p that closes the gap to Z/(p^e); that power is
-    at most p^(e-1).
+    The order T1 over Z/p comes by prime descent from the lcm bound,
+    once per residue of f mod p; T is T1 times the least p^j, j < e,
+    with (x^T1)^(p^j) = 1, found by repeated p-th powers.
     """
     if not f.is_monic or f.degree < 1:
         raise InvalidInputError("order is defined for monic f of degree >= 1")
     if not f.unit_constant_mod_p():
         raise InvalidInputError("f(0) must be a unit mod p")
     ctx = f.ctx
-    f1 = reduce_mod_p(f)
-    x1 = x_poly(f1.ctx)
-    unit1 = one(f1.ctx)
-    t1 = 0
-    for d in _period_candidates(ctx.p, f.degree):
-        if poly_powmod(x1, d, f1) == unit1:
-            t1 = d
-            break
-    if t1 == 0:
-        raise CertificateError(f"no candidate period matched for {f}")
-    if ctx.e == 1:
-        return t1
-    xe = x_poly(ctx)
-    unit = one(ctx)
-    t = t1
+    t = _order_mod_p(ctx.p, tuple(c % ctx.p for c in f.coeffs))
+    if t == 0:
+        raise CertificateError(f"the order of x mod {f} over Z/{ctx.p} exceeds its bound")
+    fc, m = f.coeffs, ctx.modulus
+    y = _powmod(_reduce([0, 1], fc, m), t, fc, m)
     for _ in range(ctx.e):
-        if poly_powmod(xe, t, f) == unit:
+        if y == (1,):
             return t
-        t *= ctx.p
+        y, t = _powmod(y, ctx.p, fc, m), t * ctx.p
     raise CertificateError(f"period of {f} not of the form T1 * p^j, j < e")
 
 

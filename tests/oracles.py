@@ -1,5 +1,6 @@
 """Slow reference implementations that the tests compare the package against."""
 
+import functools
 import itertools
 import math
 import random
@@ -10,10 +11,13 @@ from residueseq.compress import format_multipoly, value_table
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.polyring import (
     RingPolynomial,
+    _factorize,
     apply_poly_to_sequence,
     one,
     poly_mod,
     poly_mulmod,
+    poly_powmod,
+    reduce_mod_p,
     ward_bound,
     with_exponent,
     x_poly,
@@ -97,6 +101,61 @@ def order_of_x_bruteforce(f: RingPolynomial) -> int:
     if acc == unit:
         return ward_bound(f)
     raise CertificateError(f"order of x mod {f} exceeds the Ward bound")
+
+
+def _sorted_divisors(factors: dict[int, int]) -> list[int]:
+    divisors = [1]
+    for q, mult in factors.items():
+        divisors = [d * q**i for d in divisors for i in range(mult + 1)]
+    return sorted(divisors)
+
+
+@functools.lru_cache(maxsize=None)
+def _period_candidates(p: int, n: int) -> tuple[int, ...]:
+    # Every least period over Z/p of a degree-n polynomial with unit
+    # constant term divides lcm(p^d - 1 : d <= n) * p^ceil(log_p n):
+    # factor into irreducible powers and combine their periods.
+    factors: dict[int, int] = {}
+    for d in range(1, n + 1):
+        for q, mult in _factorize(p**d - 1).items():
+            factors[q] = max(factors.get(q, 0), mult)
+    m = 0
+    while p**m < n:
+        m += 1
+    if m:
+        factors[p] = max(factors.get(p, 0), m)
+    return tuple(_sorted_divisors(factors))
+
+
+def order_of_x_divisor_scan(f: RingPolynomial) -> int:
+    """order_of_x as a scan: the least divisor candidate d with x^d = 1
+    over Z/p, then the least power of p that closes the gap to Z/(p^e),
+    one poly_powmod from x per candidate."""
+    if not f.is_monic or f.degree < 1:
+        raise InvalidInputError("order is defined for monic f of degree >= 1")
+    if not f.unit_constant_mod_p():
+        raise InvalidInputError("f(0) must be a unit mod p")
+    ctx = f.ctx
+    f1 = reduce_mod_p(f)
+    x1 = x_poly(f1.ctx)
+    unit1 = one(f1.ctx)
+    t1 = 0
+    for d in _period_candidates(ctx.p, f.degree):
+        if poly_powmod(x1, d, f1) == unit1:
+            t1 = d
+            break
+    if t1 == 0:
+        raise CertificateError(f"no candidate period matched for {f}")
+    if ctx.e == 1:
+        return t1
+    xe = x_poly(ctx)
+    unit = one(ctx)
+    t = t1
+    for _ in range(ctx.e):
+        if poly_powmod(xe, t, f) == unit:
+            return t
+        t *= ctx.p
+    raise CertificateError(f"period of {f} not of the form T1 * p^j, j < e")
 
 
 def compute_h_lifted(f: RingPolynomial, i: int) -> RingPolynomial:

@@ -62,7 +62,7 @@ def test_criterion_01_primitivity_ground_truth():
     elapsed = time.perf_counter() - started
     assert candidates <= 81
     assert elapsed < 5.0
-    _done(1, f"divisor-scan order matches the sequential oracle on "
+    _done(1, f"prime-descent order matches the sequential oracle on "
              f"{candidates} generators in {elapsed:.2f}s")
 
 

@@ -276,6 +276,18 @@ def test_verify_alpha_k_exhaustive_where_the_rows_fit():
     assert report.holds
 
 
+def test_alpha_k_builds_each_class_alpha_once(monkeypatch):
+    # 27 eta cells at p = 5, e = 2 over 5 shift classes of 120 states
+    calls = []
+    alpha_sequence = analysis.alpha_sequence
+    monkeypatch.setattr(analysis, "alpha_sequence",
+                        lambda s, cert: calls.append(s) or alpha_sequence(s, cert))
+    analysis._class_alphas.cache_clear()
+    reports = analysis.suite_alpha_k(p=5, e=2, n=2, ks=[1])
+    assert len(reports) == 27 and all(r.holds for r in reports)
+    assert len(calls) == 5
+
+
 STRONG9 = certify(RingPolynomial(Z9, (2, 1, 1)))
 FORCED9 = dataclasses.replace(certify(RingPolynomial(Z9, (2, 2, 1))), strongly_primitive=True)
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import order_of_x_bruteforce
+from oracles import order_of_x_bruteforce, order_of_x_divisor_scan
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext
 from residueseq.polyring import (
@@ -107,6 +107,9 @@ def test_order_handles_repeated_factors():
     f = RingPolynomial(Z3, (1, 1, 1))
     assert order_of_x(f) == 3
     assert order_of_x_bruteforce(f) == 3
+    # (x-1)^4 mod 3 has order 9: the bound's p-part, p^ceil(log_p 4), is reached
+    f = RingPolynomial(Z3, (1, 2, 0, 2, 1))
+    assert order_of_x(f) == order_of_x_divisor_scan(f) == order_of_x_bruteforce(f) == 9
 
 
 def all_candidates_z9():

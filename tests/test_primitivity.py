@@ -2,17 +2,20 @@ import itertools
 
 import pytest
 
-from oracles import compute_h_lifted, order_of_x_bruteforce
+from oracles import compute_h_lifted, order_of_x_bruteforce, order_of_x_divisor_scan
+from residueseq import polyring
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.ringcore import RingContext
 from residueseq.polyring import (
     RingPolynomial,
+    order_of_x,
     poly_powmod,
     reduce_mod_p,
     with_exponent,
     x_poly,
 )
 from residueseq.primitivity import (
+    _qualifies,
     certificate_to_dict,
     certify,
     compute_h,
@@ -108,7 +111,7 @@ def test_find_primitive_examples():
 
 def test_primitive_count_over_prime_field():
     # exactly phi(8)/2 = 2 primitive monic quadratics over Z/3, and the
-    # divisor-scan order agrees with the sequential oracle on each
+    # order agrees with the sequential oracle on each
     prims = list(iter_primitive(Z3, 2))
     assert len(prims) == 2
     assert {f.coeffs for f in prims} == {(2, 1, 1), (2, 2, 1)}
@@ -189,3 +192,51 @@ def test_primitivity_agrees_with_sympy_over_prime_fields():
         for f in iter_monic_polys(ctx, n):
             assert is_primitive(f) == (f.coeffs in expected)
         assert expected
+
+
+# the strongly primitive generators the suites at p = 17..29 are built on,
+# pinned so that a faster order computation cannot move them
+STRONG_P2 = {
+    17: ([3, 1, 1], 4896, [14, 1]),
+    19: ([2, 1, 1], 6840, [17, 12]),
+    23: ([5, 2, 1], 12144, [22, 15]),
+    29: ([2, 5, 1], 24360, [11, 10]),
+}
+
+
+@pytest.mark.parametrize("p", sorted(STRONG_P2))
+def test_strong_search_keeps_its_generators(p):
+    f, period, h1 = STRONG_P2[p]
+    assert certificate_to_dict(find_primitive(RingContext(p, 2), 2, strongly=True)) == {
+        "p": p, "e": 2, "n": 2, "f": f, "period": period, "h1": h1, "h_f": h1,
+        "strongly_primitive": True, "seed": None,
+    }
+
+
+# (p, e, n); (x-1)^4 over Z/3 (n = 4) has order 9, so the p-part of the
+# bound is reached, and e = 3 lifts by p twice
+ORDER_GRID = [(3, e, n) for e in (1, 2, 3) for n in (1, 2, 3)] + [
+    (3, 1, 4), (5, 1, 3), (5, 2, 2), (7, 2, 2),
+]
+
+
+@pytest.mark.parametrize("p, e, n", ORDER_GRID)
+def test_order_and_search_match_the_divisor_scan(p, e, n):
+    ctx = RingContext(p, e)
+    orders = {}
+    for f in iter_monic_polys(ctx, n):
+        orders[f] = order_of_x_divisor_scan(f)
+        assert order_of_x(f) == orders[f] == order_of_x_bruteforce(f), f
+    for strongly in (False, True):
+        expected = [f for f, t in orders.items() if _qualifies(f, t, strongly)]
+        assert list(iter_primitive(ctx, n, strongly)) == expected
+
+
+def test_search_computes_one_mod_p_order_per_residue():
+    ctx = RingContext(7, 2)
+    polyring._order_mod_p.cache_clear()
+    assert len(list(iter_primitive(ctx, 2))) == 384
+    info = polyring._order_mod_p.cache_info()
+    assert sum(1 for _ in iter_monic_polys(ctx, 2)) == 2058
+    assert (info.misses, info.hits) == (42, 2058 - 42)
+    assert info.maxsize is not None
