@@ -881,14 +881,13 @@ def _scaled_uniform_scan(seqs, phi, lam, s):
     s, over one period of each a in seqs, as (witness or None, positions
     compared); phi is the map's value table on Z/(p^e)."""
     modulus = len(phi)
-    phi_lam = [phi[lam * v % modulus] for v in range(modulus)]
+    split = [(phi[v] == s) != (phi[lam * v % modulus] == s) for v in range(modulus)]
     positions = 0
     for seq in seqs:
-        for t in range(seq.period):
-            positions += 1
-            v = seq.terms[t]
-            if (phi[v] == s) != (phi_lam[v] == s):
-                return {"state": list(seq.initial_state), "t": t, "s": s}, positions
+        t = next(itertools.compress(itertools.count(), map(split.__getitem__, seq.terms)), None)
+        if t is not None:
+            return {"state": list(seq.initial_state), "t": t, "s": s}, positions + t + 1
+        positions += seq.period
     return None, positions
 
 

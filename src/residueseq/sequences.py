@@ -14,6 +14,7 @@ from .errors import InvalidInputError
 from .primitivity import PrimitivityCertificate, compute_h
 from .polyring import (
     RingPolynomial,
+    _factorize,
     apply_poly_to_sequence,
     ward_bound,
 )
@@ -64,15 +65,14 @@ class LevelSequence:
 
 
 def least_period(values) -> int:
-    """Smallest cyclic period of a list known to repeat with its length."""
+    """Smallest cyclic period of a list known to repeat with its length, by prime
+    descent: exact, as the periods dividing the length are the least one's multiples."""
     values = list(values)
-    length = len(values)
-    for d in range(1, length + 1):
-        if length % d:
-            continue
-        if all(values[t] == values[t % d] for t in range(d, length)):
-            return d
-    return length
+    length = d = len(values)
+    for q in _factorize(length):
+        while d % q == 0 and values[d // q:] == values[:length - d // q]:
+            d //= q
+    return d
 
 
 def level_sequence(p: int, values) -> LevelSequence:
@@ -135,7 +135,8 @@ def level(s: LRSequence, i: int) -> LevelSequence:
     if not 0 <= i < ctx.e:
         raise InvalidInputError(f"level index must be in [0, {ctx.e}), got {i}")
     q = ctx.p**i
-    return level_sequence(ctx.p, [(v // q) % ctx.p for v in s.terms])
+    digit = [(v // q) % ctx.p for v in range(ctx.modulus)]
+    return level_sequence(ctx.p, list(map(digit.__getitem__, s.terms)))
 
 
 def _check_same_generator(s: LRSequence, cert: PrimitivityCertificate) -> None:

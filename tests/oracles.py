@@ -158,6 +158,34 @@ def order_of_x_divisor_scan(f: RingPolynomial) -> int:
     raise CertificateError(f"period of {f} not of the form T1 * p^j, j < e")
 
 
+def least_period_divisor_scan(values) -> int:
+    """least_period as a scan: the least divisor d of the length with
+    values[t] == values[t % d] for every t, one generator compare per d."""
+    values = list(values)
+    length = len(values)
+    for d in range(1, length + 1):
+        if length % d:
+            continue
+        if all(values[t] == values[t % d] for t in range(d, length)):
+            return d
+    return length
+
+
+def scaled_uniform_scan_per_term(seqs, phi, lam, s):
+    """_scaled_uniform_scan as a per-term loop: one comparison of phi(v) and
+    phi(lam * v) against s per position, counting each position compared."""
+    modulus = len(phi)
+    phi_lam = [phi[lam * v % modulus] for v in range(modulus)]
+    positions = 0
+    for seq in seqs:
+        for t in range(seq.period):
+            positions += 1
+            v = seq.terms[t]
+            if (phi[v] == s) != (phi_lam[v] == s):
+                return {"state": list(seq.initial_state), "t": t, "s": s}, positions
+    return None, positions
+
+
 def compute_h_lifted(f: RingPolynomial, i: int) -> RingPolynomial:
     """h_i read off the exponent-(e+1) lift of the same coefficient list.
 

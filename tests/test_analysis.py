@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     equal_at_alpha_k,
+    scaled_uniform_scan_per_term,
     shift_classes_by_dict,
     verify_alpha_k_injectivity_per_state,
 )
@@ -19,6 +21,7 @@ from residueseq.compress import (
     compress_sequence,
     from_table,
     psi_zw,
+    value_table,
     zero_poly,
 )
 from residueseq import analysis
@@ -428,6 +431,60 @@ def test_count_uniform_s_sampled():
         failing={1: {"state": [2, 12], "t": 2, "s": 1}, 2: {"state": [2, 12], "t": 0, "s": 2},
                  3: {"state": [2, 12], "t": 0, "s": 3}},
         pairs=4, positions=965, sampled=True, seed=2)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_scaled_uniform_scan_matches_the_per_term_loop(p):
+    ctx = RingContext(p, 2)
+    m = ctx.modulus
+    reps, _ = shift_classes(find_primitive(ctx, 2, strongly=True).f)
+    rng = random.Random(p)
+    # random tables over a small and a full alphabet, and a constant table
+    tables = [[rng.randrange(k) for _ in range(m)] for k in (2, p) for _ in range(3)]
+    tables.append([1] * m)
+    for phi in tables:
+        for lam in range(1, m):
+            if lam % p == 0:
+                continue
+            for s in range(p):
+                got = analysis._scaled_uniform_scan(reps, phi, lam, s)
+                assert got == scaled_uniform_scan_per_term(reps, phi, lam, s)
+                if lam == 1 or len(set(phi)) == 1:
+                    assert got == (None, sum(r.period for r in reps))
+
+
+def test_scaled_uniform_scan_holding_and_first_hit_positions():
+    ctx = RingContext(5, 2)
+    cert = find_primitive(ctx, 2, strongly=True)
+    reps, _ = shift_classes(cert.f)
+    total = sum(r.period for r in reps)
+    # the thm9 map at p = 5 holds at s = 0 and 4 and fails at 1, 2, 3
+    phi = value_table(CompressingMap(g=UnivariateFn(5, (0, 0, 1)),
+                                     eta=psi_zw(5, 2, 0, thm9_choose_w(5)), e=2), ctx)
+    for s in range(5):
+        got = analysis._scaled_uniform_scan(reps, phi, 24, s)
+        assert got == scaled_uniform_scan_per_term(reps, phi, 24, s)
+        assert (got[0] is None) == (s in (0, 4))
+        if s in (0, 4):
+            assert got[1] == total
+    # a hit at t = 0 of the first sequence: only v and -v split
+    first = next(reps[0].shifted(r) for r in range(reps[0].period) if reps[0].at(r))
+    seqs = [first] + reps[1:]
+    v = first.terms[0]
+    phi = [int(u == v) for u in range(25)]
+    got = analysis._scaled_uniform_scan(seqs, phi, 24, 1)
+    assert got == ({"state": list(first.initial_state), "t": 0, "s": 1}, 1)
+    assert got == scaled_uniform_scan_per_term(seqs, phi, 24, 1)
+    # a hit at the last term of a later sequence: a(t+1) = 7 a(t) has period
+    # 4 and no value twice, so v and v / lam split and occur nowhere earlier
+    seqs = [generate(RingPolynomial(ctx, (18, 1)), (a,)) for a in (1, 2)]
+    v = seqs[1].terms[-1]
+    earlier = set(seqs[0].terms) | set(seqs[1].terms[:-1])
+    lam = next(k for k in range(2, 25) if k % 5 and pow(k, -1, 25) * v % 25 not in earlier)
+    phi = [int(u == v) for u in range(25)]
+    got = analysis._scaled_uniform_scan(seqs, phi, lam, 1)
+    assert got == ({"state": [2], "t": 3, "s": 1}, 8)
+    assert got == scaled_uniform_scan_per_term(seqs, phi, lam, 1)
 
 
 def test_count_uniform_s_needs_strong():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import generate_by_tuple_state, identity_failure_per_j
+from oracles import generate_by_tuple_state, identity_failure_per_j, least_period_divisor_scan
 from residueseq.analysis import _sample_primitive_states
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext
@@ -116,6 +116,44 @@ def test_least_period():
     assert least_period([1, 2, 1, 2, 1, 2]) == 2
     assert least_period([0]) == 1
     assert least_period([1, 2, 3]) == 3
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 7, 11, 13, 16, 27, 49, 48, 336])
+def test_least_period_matches_the_divisor_scan(length):
+    rng = random.Random(length)
+    divisors = [d for d in range(1, length + 1) if length % d == 0]
+    cases = [[7] * length]
+    for d in divisors:
+        # a small alphabet often repeats inside the block, a large one rarely
+        for symbols in (2, 3, 1000):
+            cases.append([rng.randrange(symbols) for _ in range(d)] * (length // d))
+        for q in divisors:
+            if q > 1 and d * q in divisors:
+                # the period q*d holds and d does not: the one marker in each
+                # q*d block is the only term that breaks the d-fold repeat
+                block = [rng.randrange(3) for _ in range(d)] * q
+                block[-1] = -1
+                cases.append(block * (length // (d * q)))
+                assert least_period(cases[-1]) == d * q
+    for values in cases:
+        assert least_period(values) == least_period_divisor_scan(values), values
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 3, 2), (7, 2, 2), (17, 2, 2)])
+def test_level_matches_the_digit_comprehension(p, e, n):
+    ctx = RingContext(p, e)
+    f = _first_primitive(p, e, n)
+    m = ctx.modulus
+    rng = random.Random(p * 100 + e)
+    states = [(0,) * n, (1,) + (0,) * (n - 1), (p,) + (0,) * (n - 1), (m - 1,) * n]
+    states += [tuple(rng.randrange(m) for _ in range(n)) for _ in range(3)]
+    for state in states:
+        s = generate(f, state)
+        for i in range(e):
+            digits = [(v // p**i) % p for v in s.terms]
+            d = least_period_divisor_scan(digits)
+            lvl = level(s, i)
+            assert (lvl.p, lvl.terms, lvl.period) == (p, tuple(digits[:d]), d)
 
 
 def test_levels():
