@@ -436,20 +436,15 @@ def thm8_mask_set(g: UnivariateFn, s: int) -> set[int]:
 
 
 def construct_thm8(
-    g: UnivariateFn,
-    s: int,
-    lam: int,
-    r: int,
-    e: int,
-    assignment: dict | int | None = None,
+    g: UnivariateFn, s: int, lam: int, r: int, e: int
 ) -> CompressingMap | None:
     """Map g(x_top) + psi_{z,W} whose compressed sequences for a and
     lambda*a are s-uniform; None when the construction does not apply.
 
     Needs a non-permutation g whose fibre over r is closed under scaling
     by lambda, and a nonempty W = {w : s not in w + image(g)}. The
-    off-zero values of psi are free in W; they default to the constant
-    min(W) and are never chosen randomly.
+    off-zero values of psi are free in W; they are the constant min(W),
+    never chosen randomly.
     """
     p = g.p
     lam %= p
@@ -468,9 +463,7 @@ def construct_thm8(
     if not allowed:
         return None
     z = (s - r) % p
-    if assignment is None:
-        assignment = min(allowed)
-    return CompressingMap(g=g, eta=psi_zW(p, e, z, allowed, assignment), e=e)
+    return CompressingMap(g=g, eta=psi_zW(p, e, z, allowed, min(allowed)), e=e)
 
 
 @dataclass

@@ -13,7 +13,9 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .ringcore import RingContext, UnivariateFn, _lagrange_basis, digit_table, is_odd_prime
+from .ringcore import (
+    RingContext, UnivariateFn, _fold_exponent, digit_table, interpolate, is_odd_prime,
+)
 from .sequences import LRSequence, LevelSequence, level_sequence
 
 
@@ -36,9 +38,7 @@ class MultivariatePoly:
                 raise InvalidInputError(
                     f"exponent tuple {exps} does not match arity {self.arity}"
                 )
-            folded = tuple(
-                0 if k == 0 else (k - 1) % (self.p - 1) + 1 for k in exps
-            )
+            folded = tuple(_fold_exponent(k, self.p) for k in exps)
             c %= self.p
             if c:
                 clean[folded] = (clean.get(folded, 0) + c) % self.p
@@ -88,50 +88,33 @@ def constant_poly(p: int, arity: int, c: int) -> MultivariatePoly:
 
 
 def from_table(p: int, arity: int, values) -> MultivariatePoly:
-    """Interpolate a dense table (product order, x_0 slowest) to canonical form."""
+    """Interpolate a dense table (product order, x_0 slowest) to canonical form.
+
+    One variable at a time, every line of p entries along it is replaced by
+    that line's coefficients; the reduced monomials in several variables are
+    products of one-variable ones, so the result is the coefficient table.
+    """
+    if not is_odd_prime(p):
+        raise InvalidInputError(f"p must be an odd prime, got {p}")
     values = list(values)
     if len(values) != p**arity:
         raise InvalidInputError(
             f"table must have {p ** arity} entries, got {len(values)}"
         )
-    coeffs: dict[tuple[int, ...], int] = {}
-    for point, v in zip(itertools.product(range(p), repeat=arity), values):
-        v %= p
-        if v == 0:
-            continue
-        deltas = [_lagrange_basis(p, c) for c in point]
-        for exps in itertools.product(range(p), repeat=arity):
-            term = v
-            for d, k in zip(deltas, exps):
-                term = term * d[k] % p
-                if term == 0:
-                    break
-            if term:
-                key = tuple(exps)
-                coeffs[key] = (coeffs.get(key, 0) + term) % p
-    return MultivariatePoly(p, arity, coeffs)
+    for axis in range(arity):
+        stride = p ** (arity - 1 - axis)
+        for block in range(0, len(values), p * stride):
+            for base in range(block, block + stride):
+                line = slice(base, base + p * stride, stride)
+                fn = interpolate(values[line], p)
+                values[line] = [fn.coeff(k) for k in range(p)]
+    exponents = itertools.product(range(p), repeat=arity)
+    return MultivariatePoly(p, arity, dict(zip(exponents, values)))
 
 
 def psi_zw(p: int, e: int, z: int, w: int) -> MultivariatePoly:
-    """The two-valued map: z at the all-zero tuple, w elsewhere.
-
-    Built by expanding (z - w) * prod(1 - x_i^(p-1)) + w directly; the
-    expansion only has exponents 0 and p-1 per variable.
-    """
-    if e < 2:
-        raise InvalidInputError("psi needs e >= 2 (at least one lower level)")
-    arity = e - 1
-    z %= p
-    w %= p
-    coeffs: dict[tuple[int, ...], int] = {}
-    scale = (z - w) % p
-    if scale:
-        for mask in itertools.product((0, p - 1), repeat=arity):
-            sign = -1 if sum(1 for k in mask if k) % 2 else 1
-            coeffs[mask] = (coeffs.get(mask, 0) + sign * scale) % p
-    zero = (0,) * arity
-    coeffs[zero] = (coeffs.get(zero, 0) + w) % p
-    return MultivariatePoly(p, arity, coeffs)
+    """The two-valued map: z at the all-zero tuple, w elsewhere."""
+    return psi_zW(p, e, z, {w}, w)
 
 
 def psi_zW(
@@ -274,5 +257,10 @@ def multipoly_to_json(eta: MultivariatePoly) -> str:
 
 
 def multipoly_from_json(text: str) -> MultivariatePoly:
+    """Inverse of multipoly_to_json; every value must be a residue in [0, p)."""
     data = json.loads(text)
-    return from_table(data["p"], data["vars"], data["values"])
+    p, arity, values = data["p"], data["vars"], data["values"]
+    if not all(type(v) is int for v in (p, arity, *values)):
+        raise InvalidInputError("p, vars and every table value must be integers")
+    ctx = RingContext(p, 1)
+    return from_table(p, arity, [ctx.check(v) for v in values])

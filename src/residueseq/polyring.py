@@ -229,19 +229,14 @@ def order_of_x(f: RingPolynomial) -> int:
     raise CertificateError(f"period of {f} not of the form T1 * p^j, j < e")
 
 
-def apply_poly_to_sequence(g: RingPolynomial, terms, period: int) -> list[int]:
-    """Pointwise sum of g's coefficients against shifts of the sequence.
-
-    The shifts wrap at the declared period and the output covers one full
-    input window.
-    """
+def apply_poly_to_sequence(g: RingPolynomial, terms) -> list[int]:
+    """Pointwise sum of g's coefficients against shifts of one period of a
+    sequence; the shifts wrap at the number of terms given."""
     terms = list(terms)
-    m = g.ctx.modulus
-    if period <= 0 or len(terms) < period:
-        raise InvalidInputError("declared period must fit inside the terms given")
+    period, m = len(terms), g.ctx.modulus
     return [
         sum(c * terms[(t + k) % period] for k, c in enumerate(g.coeffs)) % m
-        for t in range(len(terms))
+        for t in range(period)
     ]
 
 

@@ -93,6 +93,13 @@ def carry_c1(a: int, p: int) -> int:
     return (a // p) % p
 
 
+def _fold_exponent(k: int, p: int) -> int:
+    """The exponent in [0, p-1] that x^k reduces to by x^p = x on Z/p."""
+    if k < 0:
+        raise InvalidInputError(f"exponents must be nonnegative, got {k}")
+    return (k - 1) % (p - 1) + 1 if k else 0
+
+
 @dataclass(frozen=True)
 class UnivariateFn:
     """A function Z/p -> Z/p as its unique polynomial of degree < p.
@@ -109,8 +116,7 @@ class UnivariateFn:
             raise InvalidInputError(f"p must be an odd prime, got {self.p}")
         folded = [0] * self.p
         for k, c in enumerate(self.coeffs):
-            if k >= self.p:
-                k = (k - 1) % (self.p - 1) + 1
+            k = _fold_exponent(k, self.p)
             folded[k] = (folded[k] + c) % self.p
         while folded and folded[-1] == 0:
             folded.pop()
@@ -134,35 +140,19 @@ class UnivariateFn:
         return tuple(self(x) for x in range(self.p))
 
 
-@functools.lru_cache(maxsize=None)
-def _lagrange_basis(p: int, c: int) -> tuple[int, ...]:
-    # Indicator polynomial of x = c: product of (x - d)/(c - d) over d != c.
-    num = [1]
-    denom = 1
-    for d in range(p):
-        if d == c:
-            continue
-        num = [(-d * num[0]) % p] + [
-            (num[i - 1] - d * num[i]) % p for i in range(1, len(num))
-        ] + [num[-1]]
-        denom = denom * (c - d) % p
-    inv = pow(denom, p - 2, p)
-    return tuple(v * inv % p for v in num)
-
-
 def interpolate(values, p: int) -> UnivariateFn:
-    """The unique polynomial of degree < p matching a length-p value table."""
+    """The unique polynomial of degree < p matching a length-p value table.
+
+    It is sum_c values[c] * (1 - (x - c)^(p-1)). As binomial(p-1, k) is
+    (-1)^k mod p, its x^0 coefficient is values[0] and its x^k coefficient,
+    for 1 <= k <= p-1, is -sum_c values[c] * c^(p-1-k).
+    """
     values = list(values)
     if len(values) != p:
         raise InvalidInputError(f"expected a table of {p} values, got {len(values)}")
-    coeffs = [0] * p
-    for c, v in enumerate(values):
-        v %= p
-        if v == 0:
-            continue
-        basis = _lagrange_basis(p, c)
-        for k, b in enumerate(basis):
-            coeffs[k] = (coeffs[k] + v * b) % p
+    coeffs = values[:1] + [
+        -sum(v * pow(c, p - 1 - k, p) for c, v in enumerate(values) if v) for k in range(1, p)
+    ]
     return UnivariateFn(p, tuple(coeffs))
 
 
@@ -209,8 +199,6 @@ def parse_univariate(text: str, p: int) -> UnivariateFn:
             raise InvalidInputError(f"bad polynomial term {term!r} in {text!r}")
         raw_coeff, has_x, raw_exp = match.group(1), match.group(2), match.group(3)
         c = 1 if raw_coeff in ("", "+") else -1 if raw_coeff == "-" else int(raw_coeff)
-        k = 0 if not has_x else 1 if raw_exp is None else int(raw_exp)
-        if k >= p:
-            k = (k - 1) % (p - 1) + 1
+        k = _fold_exponent(0 if not has_x else 1 if raw_exp is None else int(raw_exp), p)
         coeffs[k] = (coeffs[k] + c) % p
     return UnivariateFn(p, tuple(coeffs))

@@ -154,7 +154,7 @@ def is_primitive_sequence(s: LRSequence, cert: PrimitivityCertificate) -> bool:
 def apply_mod_p(g: RingPolynomial, lvl: LevelSequence) -> LevelSequence:
     """Apply g to a mod-p sequence, reducing the result mod p."""
     p = lvl.p
-    values = apply_poly_to_sequence(g, lvl.terms, period=lvl.period)
+    values = apply_poly_to_sequence(g, lvl.terms)
     return level_sequence(p, [v % p for v in values])
 
 
@@ -196,7 +196,7 @@ def identity_failure(
         hf_a1 = apply_mod_p(cert.h_f, a1)
         # h_{e-2} acts on level 0 embedded into Z/(p^e); digit 1 of j times
         # the result is what carries up.
-        deep = apply_poly_to_sequence(compute_h(s.f, e - 2), a0.terms, period=a0.period)
+        deep = apply_poly_to_sequence(compute_h(s.f, e - 2), a0.terms)
         if e == 3:
             hf2_a0 = apply_mod_p(cert.h_f, apply_mod_p(cert.h_f, a0))
     for j in range(p):

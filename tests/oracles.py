@@ -7,7 +7,7 @@ import random
 import time
 
 from residueseq.analysis import DEFAULT_BUDGET, _fmt_coeffs, _report
-from residueseq.compress import format_multipoly, value_table
+from residueseq.compress import MultivariatePoly, format_multipoly, value_table
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.polyring import (
     RingPolynomial,
@@ -23,7 +23,7 @@ from residueseq.polyring import (
     x_poly,
 )
 from residueseq.primitivity import PrimitivityCertificate, compute_h
-from residueseq.ringcore import carry_c1, format_univariate
+from residueseq.ringcore import UnivariateFn, carry_c1, format_univariate
 from residueseq.sequences import (
     LRSequence,
     _check_same_generator,
@@ -324,7 +324,7 @@ def carry_identity_check(
     h_low = compute_h(s.f, e - 2)
     # h_{e-2} acts on level 0 embedded into Z/(p^e); digit 1 of j times
     # the result is what carries up.
-    deep = apply_poly_to_sequence(h_low, a0.terms, period=a0.period)
+    deep = apply_poly_to_sequence(h_low, a0.terms)
     binom = 0
     hf2_a0 = None
     if e == 3:
@@ -354,3 +354,81 @@ def identity_failure_per_j(s, cert):
             if t is not None:
                 return j, identity, t
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _lagrange_basis(p: int, c: int) -> tuple[int, ...]:
+    # Indicator polynomial of x = c: product of (x - d)/(c - d) over d != c.
+    num = [1]
+    denom = 1
+    for d in range(p):
+        if d == c:
+            continue
+        num = [(-d * num[0]) % p] + [
+            (num[i - 1] - d * num[i]) % p for i in range(1, len(num))
+        ] + [num[-1]]
+        denom = denom * (c - d) % p
+    inv = pow(denom, p - 2, p)
+    return tuple(v * inv % p for v in num)
+
+
+def interpolate_lagrange(values, p: int) -> UnivariateFn:
+    """interpolate as a sum of cached Lagrange indicator polynomials, one
+    per nonzero table entry."""
+    values = list(values)
+    if len(values) != p:
+        raise InvalidInputError(f"expected a table of {p} values, got {len(values)}")
+    coeffs = [0] * p
+    for c, v in enumerate(values):
+        v %= p
+        if v == 0:
+            continue
+        basis = _lagrange_basis(p, c)
+        for k, b in enumerate(basis):
+            coeffs[k] = (coeffs[k] + v * b) % p
+    return UnivariateFn(p, tuple(coeffs))
+
+
+def from_table_per_point(p: int, arity: int, values) -> MultivariatePoly:
+    """from_table as a per-point tensor loop: each nonzero entry adds the
+    product of the Lagrange indicators of its coordinates, O(p^(2*arity))."""
+    values = list(values)
+    if len(values) != p**arity:
+        raise InvalidInputError(
+            f"table must have {p ** arity} entries, got {len(values)}"
+        )
+    coeffs: dict[tuple[int, ...], int] = {}
+    for point, v in zip(itertools.product(range(p), repeat=arity), values):
+        v %= p
+        if v == 0:
+            continue
+        deltas = [_lagrange_basis(p, c) for c in point]
+        for exps in itertools.product(range(p), repeat=arity):
+            term = v
+            for d, k in zip(deltas, exps):
+                term = term * d[k] % p
+                if term == 0:
+                    break
+            if term:
+                key = tuple(exps)
+                coeffs[key] = (coeffs.get(key, 0) + term) % p
+    return MultivariatePoly(p, arity, coeffs)
+
+
+def psi_zw_expanded(p: int, e: int, z: int, w: int) -> MultivariatePoly:
+    """psi_zw by expanding (z - w) * prod(1 - x_i^(p-1)) + w directly; the
+    expansion only has exponents 0 and p-1 per variable."""
+    if e < 2:
+        raise InvalidInputError("psi needs e >= 2 (at least one lower level)")
+    arity = e - 1
+    z %= p
+    w %= p
+    coeffs: dict[tuple[int, ...], int] = {}
+    scale = (z - w) % p
+    if scale:
+        for mask in itertools.product((0, p - 1), repeat=arity):
+            sign = -1 if sum(1 for k in mask if k) % 2 else 1
+            coeffs[mask] = (coeffs.get(mask, 0) + sign * scale) % p
+    zero = (0,) * arity
+    coeffs[zero] = (coeffs.get(zero, 0) + w) % p
+    return MultivariatePoly(p, arity, coeffs)

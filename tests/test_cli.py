@@ -430,8 +430,16 @@ def test_bad_map_spec_exits_2(capsys, tmp_path):
     bad_json.write_text('{"p": 3,')
     no_vars = tmp_path / "no_vars.json"
     no_vars.write_text('{"p": 3, "values": [0, 1, 1]}')
+    # values that are not canonical residues mod 3: out of range, float, bool
+    non_residue = []
+    for name, values in (("range", "[5, 7, -1]"), ("float", "[2, 1, 2.5]"),
+                         ("bool", "[true, 1, 2]")):
+        non_residue.append(tmp_path / f"{name}.json")
+        non_residue[-1].write_text(f'{{"p": 3, "vars": 1, "values": {values}}}')
     for spec in ("eta=psi(0,1)", "g=x; eta=psi(0)", "g=x; eta=psi(a,b)",
                  "g=x; eta=psi(5,7)", "g=x; eta=psi(-1,1)",
+                 "g=x; eta=1:(-1)", "g=x; eta=1:(-3)",
+                 *(f"g=x; eta=table@{path}" for path in non_residue),
                  f"g=x; eta=table@{bad_json}", f"g=x; eta=table@{no_vars}",
                  f"g=x; eta=table@{tmp_path}", f"g=x; eta=table@{tmp_path / 'missing.json'}"):
         code, out, err = run_cli(capsys, "seq", "compress", "--p", "3", "--e", "2",
@@ -454,6 +462,18 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_library_use_runs():
+    # the "Library use" block runs as written and its commented values hold
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    assert names["alpha"].terms == (1, 2, 0, 2, 2, 1, 0, 1)
+    assert names["cert"].period == 24 == names["a"].period
+    assert names["cert"].h_f.coeffs == (1, 1)  # x + 1
 
 
 def test_repro_line_mentions_suite_and_seed():

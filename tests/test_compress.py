@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import from_table_per_point, psi_zw_expanded
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn, interpolate
 from residueseq.polyring import RingPolynomial
@@ -37,6 +38,8 @@ def test_canonical_reduction():
     assert m.coeffs == {}
     m = MultivariatePoly(3, 1, {(4,): 1})
     assert m.coeffs == {(2,): 1}
+    with pytest.raises(InvalidInputError):
+        MultivariatePoly(3, 1, {(-1,): 1})  # not folded to x0
 
 
 def test_from_table_reproduces_table():
@@ -47,6 +50,21 @@ def test_from_table_reproduces_table():
             poly = from_table(p, arity, table)
             assert list(poly.table()) == table
             assert all(max(e) <= p - 1 for e in poly.coeffs) or not poly.coeffs
+
+
+def test_from_table_matches_per_point_reference():
+    # all-zero, constant, seeded random and single-nonzero tables (one per
+    # position) against the per-point tensor loop
+    rng = random.Random(3)
+    for p, arity in ((3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)):
+        size = p**arity
+        tables = [[0] * size, [rng.randrange(1, p)] * size]
+        tables += [[rng.randrange(p) for _ in range(size)] for _ in range(4)]
+        tables += [[rng.randrange(1, p) if j == i else 0 for j in range(size)]
+                   for i in range(size)]
+        for table in tables:
+            assert from_table(p, arity, table) == from_table_per_point(p, arity, table), (
+                p, arity, table)
 
 
 def test_from_table_exhaustive_arity1():
@@ -68,15 +86,18 @@ def test_psi_zw_examples():
 
 
 def test_psi_zw_matches_interpolated_table():
-    for p, e in ((3, 2), (3, 3), (5, 2)):
+    # psi_zw is interpolated from its table; the reference expands
+    # (z - w) * prod(1 - x_i^(p-1)) + w instead
+    for p, e in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)):
         for z in range(p):
             for w in range(p):
                 direct = psi_zw(p, e, z, w)
-                table = [
+                table = tuple(
                     z if all(c == 0 for c in pt) else w
                     for pt in itertools.product(range(p), repeat=e - 1)
-                ]
-                assert direct == from_table(p, e - 1, table)
+                )
+                assert direct.table() == table
+                assert direct == psi_zw_expanded(p, e, z, w), (p, e, z, w)
 
 
 def test_psi_zW():

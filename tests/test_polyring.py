@@ -137,9 +137,9 @@ def test_order_lift_chain():
 
 def test_apply_poly_examples():
     mseq = [0, 1, 1, 2, 0, 2, 2, 1]
-    assert apply_poly_to_sequence(one(Z3), mseq, period=8) == mseq
-    assert apply_poly_to_sequence(x_poly(Z3), mseq, period=8) == mseq[1:] + mseq[:1]
-    got = apply_poly_to_sequence(RingPolynomial(Z3, (1, 1)), mseq, period=8)
+    assert apply_poly_to_sequence(one(Z3), mseq) == mseq
+    assert apply_poly_to_sequence(x_poly(Z3), mseq) == mseq[1:] + mseq[:1]
+    got = apply_poly_to_sequence(RingPolynomial(Z3, (1, 1)), mseq)
     assert got == [1, 2, 0, 2, 2, 1, 0, 1]
 
 
@@ -148,12 +148,12 @@ def test_apply_poly_linearity():
     s = [1, 4, 7, 2, 0, 8]
     t = [3, 3, 1, 6, 5, 2]
     both = [(a + b) % 9 for a, b in zip(s, t)]
-    lhs = apply_poly_to_sequence(g, both, period=6)
+    lhs = apply_poly_to_sequence(g, both)
     rhs = [
         (a + b) % 9
         for a, b in zip(
-            apply_poly_to_sequence(g, s, period=6),
-            apply_poly_to_sequence(g, t, period=6),
+            apply_poly_to_sequence(g, s),
+            apply_poly_to_sequence(g, t),
         )
     ]
     assert lhs == rhs

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import interpolate_lagrange
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import (
     RingContext,
@@ -84,6 +86,19 @@ def test_interpolate_is_bijection_for_p3():
         assert fn.table() == table
         seen.add(fn.coeffs)
     assert len(seen) == 27
+
+
+def test_interpolate_matches_lagrange_reference():
+    # the closed form against the Lagrange-basis sum: every table at p = 3
+    # and p = 5, then seeded random tables at larger p
+    for p in (3, 5):
+        for table in itertools.product(range(p), repeat=p):
+            assert interpolate(table, p) == interpolate_lagrange(table, p), table
+    rng = random.Random(11)
+    for p in (7, 11, 13, 17, 19):
+        for _ in range(30):
+            table = [rng.randrange(p) for _ in range(p)]
+            assert interpolate(table, p) == interpolate_lagrange(table, p), table
 
 
 def test_interpolate_wrong_length():
