@@ -29,7 +29,7 @@ from .ringcore import (
     carry_map_poly,
     is_odd_prime,
 )
-from .polyring import RingPolynomial
+from .polyring import RingPolynomial, reduce_mod_p
 from .primitivity import (
     PrimitivityCertificate,
     certify,
@@ -656,27 +656,52 @@ def suite_recurrence(
     return reports
 
 
+@functools.lru_cache(maxsize=64)
+def _level0_periods(fp: RingPolynomial) -> tuple[int, ...]:
+    """By state code over Z/p, the least period of the sequence of fp from
+    that state: one walk per shift class of fp, shared by every lift of the
+    residue fp; bounded, read-only."""
+    periods = [0] * fp.ctx.modulus**fp.degree
+    for rep in shift_classes(fp, primitive=False)[0]:
+        for c in _state_codes(rep):
+            periods[c] = rep.period
+    return tuple(periods)
+
+
 def _period_failure(ctx: RingContext, n: int):
     """First shift class of a primitive f of degree n, over all states,
     whose period or level periods break the period laws, as (witness or
-    None, classes checked, generators reached)."""
+    None, classes checked, generators reached).
+
+    Level 0 of the sequence of f from s is the sequence of f mod p from
+    s mod p: its period comes from _level0_periods, and it is zero exactly
+    when s is zero mod p."""
     p, e = ctx.p, ctx.e
     T = p**n - 1
     orbits = generators = 0
     for f in iter_primitive(ctx, n):
         generators += 1
+        level0 = _level0_periods(reduce_mod_p(f))
         for seq in shift_classes(f, primitive=False)[0]:
             orbits += 1
-            levels = [level(seq, i) for i in range(e)]
-            lowest = next((i for i, lvl in enumerate(levels) if not lvl.is_zero()), None)
+            low = [v % p for v in seq.initial_state]
+            levels = [level(seq, i) for i in range(1, e)]
+            if any(low):
+                lowest = 0
+            else:
+                lowest = next((i for i, lvl in enumerate(levels, 1) if not lvl.is_zero()), None)
             expected = 1 if lowest is None else p ** (e - 1 - lowest) * T
             if seq.period != expected:
                 return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state),
                          "period": seq.period, "expected": expected}, orbits, generators)
-            for i, lvl in enumerate(levels if lowest == 0 else ()):
-                if lvl.period != p**i * T:
+            if lowest != 0:
+                continue
+            code = functools.reduce(lambda c, v: c * p + v, low)
+            periods = [level0[code]] + [lvl.period for lvl in levels]
+            for i, period in enumerate(periods):
+                if period != p**i * T:
                     return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state), "level": i,
-                             "period": lvl.period, "expected": p**i * T}, orbits, generators)
+                             "period": period, "expected": p**i * T}, orbits, generators)
     return None, orbits, generators
 
 

@@ -102,10 +102,12 @@ def _parse_map_spec(spec: str, p: int, e: int) -> CompressingMap:
                     raise InvalidInputError(f"psi takes two integers z,w, got {body!r}") from None
                 eta = psi_zw(p, e, *(RingContext(p, 1).check(v) for v in (z, w)))
             elif body.startswith("table@"):
+                # a file that cannot be read as JSON is unreadable; a table
+                # with bad contents raises its own InvalidInputError
                 try:
                     with open(body[6:], "r", encoding="utf-8") as fh:
                         eta = multipoly_from_json(fh.read())
-                except (OSError, ValueError, KeyError, TypeError) as exc:
+                except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise InvalidInputError(f"unreadable eta table {body[6:]!r}: {exc!r}") from None
             elif body == "0":
                 eta = zero_poly(p, e - 1)

@@ -259,7 +259,10 @@ def multipoly_to_json(eta: MultivariatePoly) -> str:
 def multipoly_from_json(text: str) -> MultivariatePoly:
     """Inverse of multipoly_to_json; every value must be a residue in [0, p)."""
     data = json.loads(text)
-    p, arity, values = data["p"], data["vars"], data["values"]
+    try:
+        p, arity, values = data["p"], data["vars"], list(data["values"])
+    except (KeyError, TypeError) as exc:
+        raise InvalidInputError(f"eta table needs p, vars and a values list: {exc!r}") from None
     if not all(type(v) is int for v in (p, arity, *values)):
         raise InvalidInputError("p, vars and every table value must be integers")
     ctx = RingContext(p, 1)

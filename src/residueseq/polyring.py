@@ -220,6 +220,12 @@ def order_of_x(f: RingPolynomial) -> int:
     t = _order_mod_p(ctx.p, tuple(c % ctx.p for c in f.coeffs))
     if t == 0:
         raise CertificateError(f"the order of x mod {f} over Z/{ctx.p} exceeds its bound")
+    return _lift_order(f, t)
+
+
+def _lift_order(f: RingPolynomial, t: int) -> int:
+    # the order of x mod f over Z/(p^e) from its order t over Z/p
+    ctx = f.ctx
     fc, m = f.coeffs, ctx.modulus
     y = _powmod(_reduce([0, 1], fc, m), t, fc, m)
     for _ in range(ctx.e):

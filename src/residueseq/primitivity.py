@@ -16,6 +16,8 @@ from .errors import CertificateError, InvalidInputError
 from .ringcore import RingContext
 from .polyring import (
     RingPolynomial,
+    _lift_order,
+    _order_mod_p,
     order_of_x,
     poly_powmod,
     reduce_mod_p,
@@ -43,6 +45,15 @@ def _qualifies(f: RingPolynomial, period: int, strongly: bool = False) -> bool:
     # the primitivity predicate on period, the order of x mod f; h_1
     # exists only for primitive f, so the strong test runs second
     return period == ward_bound(f) and (not strongly or _strong(f, compute_h(f, 1)))
+
+
+def _search_order(f: RingPolynomial) -> int:
+    # the order of x mod f for a search candidate, or 0 when f mod p is not
+    # primitive: that order is T1 * p^j with j < e and T1 the order over
+    # Z/p, so a T1 short of p^n - 1 rules f out before any lift
+    p = f.ctx.p
+    t = _order_mod_p(p, tuple(c % p for c in f.coeffs))
+    return _lift_order(f, t) if t == p**f.degree - 1 else 0
 
 
 def is_primitive(f: RingPolynomial) -> bool:
@@ -141,7 +152,7 @@ def iter_monic_polys(ctx: RingContext, n: int):
 def iter_primitive(ctx: RingContext, n: int, strongly: bool = False):
     """Exhaustive stream of (strongly) primitive degree-n polynomials."""
     for f in iter_monic_polys(ctx, n):
-        if _qualifies(f, order_of_x(f), strongly):
+        if _qualifies(f, _search_order(f), strongly):
             yield f
 
 
@@ -170,7 +181,7 @@ def find_primitive(
         if lower[0] % ctx.p == 0:
             continue
         f = RingPolynomial(ctx, tuple(lower) + (1,))
-        if _qualifies(f, order_of_x(f), strongly):
+        if _qualifies(f, _search_order(f), strongly):
             return certify(f, seed=seed)
     return None
 

@@ -8,6 +8,10 @@ a(i+n) = [c_{n-1} a(i+n-1) + ... + c_0 a(i)] mod p^e.
 
 from __future__ import annotations
 
+import functools
+import operator
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -64,19 +68,27 @@ class LevelSequence:
         return LevelSequence(p=self.p, terms=self.terms[r:] + self.terms[:r], period=self.period)
 
 
+@functools.lru_cache(maxsize=64)
+def _primes(length: int) -> tuple[int, ...]:
+    # the primes of a period length, factored once for every sequence of it
+    return tuple(_factorize(length))
+
+
 def least_period(values) -> int:
     """Smallest cyclic period of a list known to repeat with its length, by prime
     descent: exact, as the periods dividing the length are the least one's multiples."""
-    values = list(values)
+    if not isinstance(values, list):
+        values = list(values)
     length = d = len(values)
-    for q in _factorize(length):
+    for q in _primes(length):
         while d % q == 0 and values[d // q:] == values[:length - d // q]:
             d //= q
     return d
 
 
 def level_sequence(p: int, values) -> LevelSequence:
-    values = list(values)
+    if not isinstance(values, list):
+        values = list(values)
     d = least_period(values)
     return LevelSequence(p=p, terms=tuple(values[:d]), period=d)
 
@@ -87,11 +99,9 @@ def recurrence_coeffs(f: RingPolynomial) -> tuple[int, ...]:
     return tuple((-f.coeff(k)) % m for k in range(f.degree))
 
 
-def generate(f: RingPolynomial, init) -> LRSequence:
-    """Run the recurrence from an n-entry state until the state recurs.
-
-    Requires a unit constant term so the state map is a bijection and the
-    first return to the initial state is the least period.
+def _walk(f: RingPolynomial, init: tuple[int, ...]) -> list[int]:
+    """One least period of the sequence of f from init, a term at a time,
+    until the state recurs.
 
     The state is packed into one int, entry k in slot k of w bits, and the
     coefficients c_{n-1}, ..., c_0 into another, so that slot n-1 of their
@@ -100,15 +110,7 @@ def generate(f: RingPolynomial, init) -> LRSequence:
     and w = bit_length(n*m^2) holds n*(m-1)^2: no slot carries into the
     next, and the kernel is exact.
     """
-    n = f.degree
-    if not f.is_monic or n < 1:
-        raise InvalidInputError("generator must be monic of degree >= 1")
-    if not f.unit_constant_mod_p():
-        raise InvalidInputError("f(0) must be a unit mod p")
-    init = tuple(v % f.ctx.modulus for v in init)
-    if len(init) != n:
-        raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
-    m = f.ctx.modulus
+    n, m = f.degree, f.ctx.modulus
     w = (n * m * m).bit_length()
     slot = (1 << w) - 1
     top = w * (n - 1)
@@ -122,11 +124,90 @@ def generate(f: RingPolynomial, init) -> LRSequence:
         nxt = (code * coeffs >> top & slot) % m
         code = code >> w | nxt << top
         if code == start:
-            break
+            return terms[:t]
         terms.append(nxt)
+    raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
+
+
+@functools.lru_cache(maxsize=2)
+def _basis(f: RingPolynomial):
+    """(typecode, byte length, (P_0, ..., P_{n-1}), mu, shift, quotient
+    mask) for generate, or None when no native array slot holds the slot
+    bound; cached and bounded like the shift-class atlas, for the calls
+    that share f.
+
+    The impulse u, the sequence from (0, ..., 0, 1), is walked once; its
+    length L = per(f) is a multiple of every period of f. Its rotation by j
+    starts from the state (u(j), ..., u(j+n-1)): zero below entry n-1-j and
+    one there. So back-substitution, j = 0, 1, ..., n-1, gives the
+    unit-state sequence E_(n-1-j) as that rotation minus u(j+k) E_k for
+    k > n-1-j. P_k packs E_k, one term per slot of the array type.
+
+    A combination sum s_k P_k holds at most S = n*(m-1)^2 in a slot. With
+    2^shift > S*m and mu = ceil(2^shift / m), (x * mu) >> shift = x // m for
+    every slot value x <= S (one Barrett step, exact), and the slot width
+    holds S*mu, so the quotients come from one multiply of the packed int.
+    """
+    n, m = f.degree, f.ctx.modulus
+    bound = n * (m - 1) ** 2
+    shift = (bound * m).bit_length()
+    mu = -(-(1 << shift) // m)
+    typecode = next((tc for tc in "BHILQ" if bound * mu >> 8 * array(tc).itemsize == 0), None)
+    if typecode is None:
+        return None
+    u = _walk(f, (0,) * (n - 1) + (1,))
+    units: dict[int, list[int]] = {}
+    for j in range(n):
+        rotated = row = u[j:] + u[:j]
+        for k in range(n - j, n):
+            row = [(a - rotated[k] * b) % m for a, b in zip(row, units[k])]
+        units[n - 1 - j] = row
+
+    def pack(values) -> int:
+        return int.from_bytes(array(typecode, values).tobytes(), sys.byteorder)
+
+    width = 8 * array(typecode).itemsize
+    mask = pack([(1 << (width - shift)) - 1] * len(u))
+    return (typecode, len(u) * width // 8, tuple(pack(units[k]) for k in range(n)),
+            mu, shift, mask)
+
+
+def generate(f: RingPolynomial, init) -> LRSequence:
+    """The sequence of f from an n-entry state, one least period of it.
+
+    Requires a unit constant term so the state map is a bijection and every
+    sequence of f is purely periodic. The terms are the combination
+    sum s_k P_k of the packed unit-state sequences of _basis(f), over one
+    period of the impulse, reduced mod m slot by slot and cut to their
+    least period; when no native slot holds the combination, the state is
+    walked a term at a time.
+    """
+    n = f.degree
+    if not f.is_monic or n < 1:
+        raise InvalidInputError("generator must be monic of degree >= 1")
+    if not f.unit_constant_mod_p():
+        raise InvalidInputError("f(0) must be a unit mod p")
+    m = f.ctx.modulus
+    init = tuple(v % m for v in init)
+    if len(init) != n:
+        raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
+    basis = _basis(f)
+    if basis is None:
+        terms = _walk(f, init)
     else:
-        raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
-    return LRSequence(f=f, initial_state=init, terms=tuple(terms[:t]), period=t)
+        typecode, nbytes, units, mu, shift, mask = basis
+        total = sum(map(operator.mul, init, units))
+        total -= m * (total * mu >> shift & mask)
+        terms = array(typecode, total.to_bytes(nbytes, sys.byteorder)).tolist()
+        terms = terms[:least_period(terms)]
+    return LRSequence(f=f, initial_state=init, terms=tuple(terms), period=len(terms))
+
+
+@functools.lru_cache(maxsize=8)
+def _digits(p: int, e: int, i: int) -> tuple[int, ...]:
+    # digit i of every residue mod p^e, for the level streams of one ring
+    q = p**i
+    return tuple(v // q % p for v in range(p**e))
 
 
 def level(s: LRSequence, i: int) -> LevelSequence:
@@ -134,9 +215,7 @@ def level(s: LRSequence, i: int) -> LevelSequence:
     ctx = s.f.ctx
     if not 0 <= i < ctx.e:
         raise InvalidInputError(f"level index must be in [0, {ctx.e}), got {i}")
-    q = ctx.p**i
-    digit = [(v // q) % ctx.p for v in range(ctx.modulus)]
-    return level_sequence(ctx.p, list(map(digit.__getitem__, s.terms)))
+    return level_sequence(ctx.p, list(map(_digits(ctx.p, ctx.e, i).__getitem__, s.terms)))
 
 
 def _check_same_generator(s: LRSequence, cert: PrimitivityCertificate) -> None:

@@ -6,7 +6,7 @@ import math
 import random
 import time
 
-from residueseq.analysis import DEFAULT_BUDGET, _fmt_coeffs, _report
+from residueseq.analysis import DEFAULT_BUDGET, _fmt_coeffs, _report, shift_classes
 from residueseq.compress import MultivariatePoly, format_multipoly, value_table
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.polyring import (
@@ -22,8 +22,8 @@ from residueseq.polyring import (
     with_exponent,
     x_poly,
 )
-from residueseq.primitivity import PrimitivityCertificate, compute_h
-from residueseq.ringcore import UnivariateFn, carry_c1, format_univariate
+from residueseq.primitivity import PrimitivityCertificate, compute_h, iter_primitive
+from residueseq.ringcore import RingContext, UnivariateFn, carry_c1, format_univariate
 from residueseq.sequences import (
     LRSequence,
     _check_same_generator,
@@ -62,6 +62,74 @@ def generate_by_tuple_state(f: RingPolynomial, init) -> LRSequence:
     else:
         raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
     return LRSequence(f=f, initial_state=init, terms=tuple(terms[:period]), period=period)
+
+
+def generate_loop(f: RingPolynomial, init) -> LRSequence:
+    """generate as a loop: run the recurrence from an n-entry state until
+    the state recurs.
+
+    Requires a unit constant term so the state map is a bijection and the
+    first return to the initial state is the least period.
+
+    The state is packed into one int, entry k in slot k of w bits, and the
+    coefficients c_{n-1}, ..., c_0 into another, so that slot n-1 of their
+    product is the next term before reduction mod m = p^e. A slot of the
+    product sums at most n products of two residues, each at most (m-1)^2,
+    and w = bit_length(n*m^2) holds n*(m-1)^2: no slot carries into the
+    next, and the kernel is exact.
+    """
+    n = f.degree
+    if not f.is_monic or n < 1:
+        raise InvalidInputError("generator must be monic of degree >= 1")
+    if not f.unit_constant_mod_p():
+        raise InvalidInputError("f(0) must be a unit mod p")
+    init = tuple(v % f.ctx.modulus for v in init)
+    if len(init) != n:
+        raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
+    m = f.ctx.modulus
+    w = (n * m * m).bit_length()
+    slot = (1 << w) - 1
+    top = w * (n - 1)
+    coeffs = start = 0
+    for c, v in zip(recurrence_coeffs(f), reversed(init)):
+        coeffs = coeffs << w | c
+        start = start << w | v
+    terms = list(init)
+    code = start
+    for t in range(1, ward_bound(f) + 1):
+        nxt = (code * coeffs >> top & slot) % m
+        code = code >> w | nxt << top
+        if code == start:
+            break
+        terms.append(nxt)
+    else:
+        raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
+    return LRSequence(f=f, initial_state=init, terms=tuple(terms[:t]), period=t)
+
+
+def period_failure_all_levels(ctx: RingContext, n: int):
+    """_period_failure with every level, level 0 included, built by `level`:
+    the first shift class of a primitive f of degree n, over all states,
+    whose period or level periods break the period laws, as (witness or
+    None, classes checked, generators reached)."""
+    p, e = ctx.p, ctx.e
+    T = p**n - 1
+    orbits = generators = 0
+    for f in iter_primitive(ctx, n):
+        generators += 1
+        for seq in shift_classes(f, primitive=False)[0]:
+            orbits += 1
+            levels = [level(seq, i) for i in range(e)]
+            lowest = next((i for i, lvl in enumerate(levels) if not lvl.is_zero()), None)
+            expected = 1 if lowest is None else p ** (e - 1 - lowest) * T
+            if seq.period != expected:
+                return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state),
+                         "period": seq.period, "expected": expected}, orbits, generators)
+            for i, lvl in enumerate(levels if lowest == 0 else ()):
+                if lvl.period != p**i * T:
+                    return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state), "level": i,
+                             "period": lvl.period, "expected": p**i * T}, orbits, generators)
+    return None, orbits, generators
 
 
 def shift_classes_by_dict(f: RingPolynomial, states=None):

@@ -5,12 +5,14 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from oracles import (
     equal_at_alpha_k,
     scaled_uniform_scan_per_term,
     shift_classes_by_dict,
     verify_alpha_k_injectivity_per_state,
 )
+from test_forced_failures import _constant_level, _top_level_plus_one
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn
 from residueseq.polyring import RingPolynomial
@@ -520,3 +522,32 @@ def test_report_shape():
     d = report.to_dict(include_timing=True)
     assert "ms" in d
     assert analysis.DEFAULT_BUDGET == 10**8
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 2, 2), (3, 3, 2), (5, 2, 2), (7, 2, 2), (3, 2, 3)])
+def test_period_failure_matches_the_every_level_oracle(p, e, n):
+    ctx = RingContext(p, e)
+    assert analysis._period_failure(ctx, n) == oracles.period_failure_all_levels(ctx, n)
+
+
+@pytest.mark.parametrize("fake", [_top_level_plus_one, _constant_level])
+def test_period_failure_matches_the_oracle_under_forced_level_failures(monkeypatch, fake):
+    # the injections touch levels e-1 and 1 only, which both still build by `level`
+    for e in (2, 3):
+        ctx = RingContext(3, e)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "level", fake)
+            m.setattr(oracles, "level", fake)
+            got = analysis._period_failure(ctx, 2)
+            want = oracles.period_failure_all_levels(ctx, 2)
+        assert got == want
+
+
+def test_level0_periods_walk_once_per_residue():
+    # the 144 primitive f of degree 2 over Z/27 reduce to the 2 primitive
+    # residues mod 3; each level-0 period table is walked once
+    analysis._level0_periods.cache_clear()
+    assert analysis._period_failure(RingContext(3, 3), 2) == (None, 2016, 144)
+    info = analysis._level0_periods.cache_info()
+    assert (info.misses, info.hits) == (2, 142)
+    assert info.maxsize is not None

@@ -436,16 +436,28 @@ def test_bad_map_spec_exits_2(capsys, tmp_path):
                          ("bool", "[true, 1, 2]")):
         non_residue.append(tmp_path / f"{name}.json")
         non_residue[-1].write_text(f'{{"p": 3, "vars": 1, "values": {values}}}')
+
+    def compress(spec):
+        return run_cli(capsys, "seq", "compress", "--p", "3", "--e", "2",
+                       "--f", "8,8,1", "--init", "0,1", "--map", spec)
+
     for spec in ("eta=psi(0,1)", "g=x; eta=psi(0)", "g=x; eta=psi(a,b)",
                  "g=x; eta=psi(5,7)", "g=x; eta=psi(-1,1)",
                  "g=x; eta=1:(-1)", "g=x; eta=1:(-3)",
                  *(f"g=x; eta=table@{path}" for path in non_residue),
                  f"g=x; eta=table@{bad_json}", f"g=x; eta=table@{no_vars}",
                  f"g=x; eta=table@{tmp_path}", f"g=x; eta=table@{tmp_path / 'missing.json'}"):
-        code, out, err = run_cli(capsys, "seq", "compress", "--p", "3", "--e", "2",
-                                 "--f", "8,8,1", "--init", "0,1", "--map", spec)
+        code, out, err = compress(spec)
         assert code == 2 and out == "", spec
         assert err.startswith("invalid input: "), spec
+    # a table that was read is not called unreadable: the error names its fault
+    for path, fault in ((non_residue[0], "5 is not a canonical residue modulo 3"),
+                        (no_vars, "eta table needs p, vars and a values list")):
+        code, out, err = compress(f"g=x; eta=table@{path}")
+        assert code == 2 and fault in err and "unreadable" not in err, err
+    for path in (bad_json, tmp_path, tmp_path / "missing.json"):
+        code, out, err = compress(f"g=x; eta=table@{path}")
+        assert code == 2 and "unreadable eta table" in err, err
 
 
 def test_readme_commands_parse():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from oracles import compute_h_lifted, order_of_x_bruteforce, order_of_x_divisor_scan
-from residueseq import polyring
+from residueseq import polyring, primitivity
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.ringcore import RingContext
 from residueseq.polyring import (
@@ -240,3 +240,18 @@ def test_search_computes_one_mod_p_order_per_residue():
     assert sum(1 for _ in iter_monic_polys(ctx, 2)) == 2058
     assert (info.misses, info.hits) == (42, 2058 - 42)
     assert info.maxsize is not None
+
+
+def test_search_lifts_only_the_candidates_primitive_mod_p(monkeypatch):
+    # 8 of the 42 unit-constant residues of degree 2 mod 7 are primitive;
+    # only their 49 lifts each reach the order over Z/49
+    lifted = []
+
+    def lift(f, t):
+        lifted.append(f)
+        return polyring._lift_order(f, t)
+
+    monkeypatch.setattr(primitivity, "_lift_order", lift)
+    assert len(list(iter_primitive(RingContext(7, 2), 2))) == 384
+    assert len(lifted) == 8 * 49
+    assert all(order_of_x(reduce_mod_p(f)) == 48 for f in lifted)

@@ -1,17 +1,24 @@
 import dataclasses
 import functools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import generate_by_tuple_state, identity_failure_per_j, least_period_divisor_scan
+from oracles import (
+    generate_by_tuple_state,
+    generate_loop,
+    identity_failure_per_j,
+    least_period_divisor_scan,
+)
 from residueseq.analysis import _sample_primitive_states
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext
 from residueseq.polyring import RingPolynomial, with_exponent
 from residueseq.primitivity import certify, find_primitive, iter_primitive
 from residueseq.sequences import (
+    _basis,
     alpha_sequence,
     dump_rows,
     generate,
@@ -101,6 +108,44 @@ def test_generate_matches_the_tuple_state_oracle(ring, primitive, data):
     # the packed product takes its largest sum, n * (m - 1)^2
     ones = RingPolynomial(ctx, (1,) * (n + 1))
     assert generate(ones, (m - 1,) * n) == generate_by_tuple_state(ones, (m - 1,) * n)
+
+
+# every (p, e, n) in {3, 5, 7} x {1, 2, 3} x {1, 2, 3}, one n = 4, and p = 65537,
+# where no native slot holds the combination and generate walks the terms
+BASIS_RINGS = [(p, e, n) for p in (3, 5, 7) for e in (1, 2, 3) for n in (1, 2, 3)]
+BASIS_RINGS += [(3, 2, 4), (65537, 1, 1)]
+
+
+@pytest.mark.parametrize("p,e,n", BASIS_RINGS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_generate_matches_the_term_loop(p, e, n, data):
+    ctx = RingContext(p, e)
+    m = ctx.modulus
+    residues = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+    # monic with a unit constant term, primitive or not
+    f = RingPolynomial(ctx, tuple(data.draw(residues.filter(lambda c: c[0] % p))) + (1,))
+    zero_mod_p = tuple(p * v % m for v in data.draw(residues))
+    for state in ((0,) * n, zero_mod_p, (m - 1,) * n, tuple(data.draw(residues))):
+        assert generate(f, state) == generate_loop(f, state)
+
+
+@pytest.mark.parametrize("p,e,n,size", [(3, 1, 1, 1), (3, 2, 2, 2), (7, 2, 2, 4),
+                                        (7, 3, 3, 8), (65537, 1, 1, None)])
+def test_generate_slot_widths_and_barrett_step(p, e, n, size):
+    # the narrowest native slot that holds n*(m-1)^2 * mu, or none; one
+    # Barrett step gives x // m for every slot value x up to n*(m-1)^2
+    f = _first_primitive(p, e, n)
+    m = f.ctx.modulus
+    basis = _basis(f)
+    assert (basis and array(basis[0]).itemsize) == size
+    if basis is not None:
+        bound, mu, shift = n * (m - 1) ** 2, basis[3], basis[4]
+        xs = range(bound + 1) if bound < 10**6 else [*range(10**4), *range(bound - 10**4, bound + 1)]
+        assert all(x * mu >> shift == x // m for x in xs)
+        assert bound * mu >> 8 * size == 0
+    state = tuple(range(m - n, m))
+    assert generate(f, state) == generate_loop(f, state)
 
 
 def test_generate_errors():
