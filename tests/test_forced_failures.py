@@ -3,7 +3,10 @@
 Each injection replaces one function that the laws call through the
 `analysis` module with a copy that answers wrongly on some inputs. The
 inputs are chosen by their terms, never by call order, so the result
-does not depend on how often a law calls the function. The reports under
+does not depend on how often a law calls the function. The level,
+value-set and proportional injections read the terms at the least joint
+rotation of their sequences, so a law may read a pair at any common
+rotation of its members and meet the same answers. The reports under
 every injection are pinned in tests/golden/forced_failures.json; recapture
 it on purpose with
 
@@ -11,6 +14,7 @@ it on purpose with
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -31,6 +35,16 @@ def _key(*seqs) -> int:
     return sum((i + 1) * v for s in seqs for i, v in enumerate(s.terms))
 
 
+def _joint_key(*seqs) -> int:
+    """_key of the sequences at their least joint rotation: rotating them all
+    by the same amount leaves it unchanged, so a law may read a pair at any
+    common rotation, such as with its first member at its class rep."""
+    span = math.lcm(*(s.period for s in seqs))
+    least = min([s.terms[r % s.period:] + s.terms[:r % s.period] for s in seqs]
+                for r in range(span))
+    return sum((i + 1) * v for terms in least for i, v in enumerate(terms))
+
+
 # The genuine identities hold on every default sequence, so a failure
 # injected at (j, identity) is the first one the per-j order meets.
 def _shift_fails(s, cert):
@@ -47,28 +61,28 @@ def _carry_fails(s, cert):
 
 def _top_level_plus_one(s, i):
     lvl = sequences.level(s, i)
-    if i == s.f.ctx.e - 1 and _key(s) % 7 == 4:
+    if i == s.f.ctx.e - 1 and _joint_key(s) % 7 == 1:
         return level_sequence(lvl.p, [(v + 1) % lvl.p for v in lvl.terms])
     return lvl
 
 
 def _constant_level(s, i):
     lvl = sequences.level(s, i)
-    if i == 1 and _key(s) % 11 == 6:
-        return level_sequence(lvl.p, [lvl.terms[0]] * lvl.period)
+    if i == 1 and _joint_key(s) % 11 == 5:
+        return level_sequence(lvl.p, [min(lvl.terms)] * lvl.period)
     return lvl
 
 
 def _value_set_missing_one(a, b, k):
     got = VALUE_SET(a, b, k)
-    if len(got) > 1 and (_key(a, b) + k) % 13 == 8:
+    if len(got) > 1 and (_joint_key(a, b) + k) % 13 == 8:
         got.discard(max(got))
     return got
 
 
 def _proportional_forgotten(u, v, p):
     lam = PROPORTIONAL(u, v, p)
-    if lam not in (None, 0) and _key(u, v) % 5 == 2:
+    if lam not in (None, 0) and _joint_key(u, v) % 5 == 4:
         return None
     return lam
 
