@@ -246,6 +246,8 @@ def shift_classes(f: RingPolynomial, primitive: bool = True):
         # the states of one least period are distinct and in no earlier class
         for c in _state_codes(s):
             seen[c] = 1
+        if seen[code] != 1:  # else find() would return code forever
+            raise RuntimeError(f"the sequence of {f} from state code {code} misses its start")
         code = seen.find(0, code)
     return reps, seen.count(1)
 
@@ -268,14 +270,6 @@ def _atlas(f: RingPolynomial, primitive: bool = True):
     read-only."""
     reps, _ = shift_classes(f, primitive)
     return tuple(reps), _slots(reps)
-
-
-def _sequences(f: RingPolynomial, primitive: bool = True) -> list[LRSequence]:
-    """The sequence of f from each primitive state, or from every state, in
-    lex order of the state; each a rotation of its class rep."""
-    reps, slots = _atlas(f, primitive)
-    laid = [rep.shifted(off) for rep in reps for off in range(rep.period)]
-    return [laid[i] for i in slots]
 
 
 @functools.lru_cache(maxsize=2)
@@ -732,29 +726,72 @@ def _proportional(u: LevelSequence, v: LevelSequence, p: int) -> int | None:
     return None
 
 
+def _level_atlas(f: RingPolynomial, primitive: bool = True):
+    """_atlas(f, primitive) for f over Z/p, and each rep as a level sequence."""
+    reps, slots = _atlas(f, primitive)
+    return reps, slots, [(level_sequence(f.ctx.p, rep.terms),) for rep in reps]
+
+
+def _pair_law(gens, first, cell, second=None, names=("a_state", "b_state")):
+    """(witness or None, cells) of a law over the pairs (a, b) of states of
+    each f in gens, failing at its lex-first failing pair. first(f) and
+    second(f) give an _atlas and, by class, a tuple of the rep's sequences;
+    with no second, b runs over the states of first(f) too.
+
+    cell(a, b) gives (cells, failure or None) and must not change when a
+    and b rotate together. It runs once per (class rep a, state b), since
+    (shift_r rep, b) maps one to one onto (rep, shift_-r b): a class counts
+    its rep's row times its period, and the first failing a is the rep of
+    the first failing class, as a rep is the least state of its class.
+    """
+    cells = 0
+    for f in gens:
+        b_reps, b_slots, b_data = member = (second or first)(f)
+        reps, slots, data = first(f) if second else member
+        b_at = [(cb, r) for cb, rep in enumerate(b_reps) for r in range(rep.period)]
+        laid = [tuple(s.shifted(r) for s in b_data[cb]) for cb, r in b_at]
+        rows = [[cell(a, b) for b in laid] for a in data]
+        totals = [sum(c for c, _ in row) for row in rows]
+        failing = [any(x is not None for _, x in row) for row in rows]
+        if True not in failing:
+            cells += sum(total * rep.period for total, rep in zip(totals, reps))
+            continue
+        ca = failing.index(True)
+        a_class = [ci for ci, rep in enumerate(reps) for _ in range(rep.period)]
+        start = sum(rep.period for rep in reps[:ca])  # the place of rep ca
+        # each state before rep ca in lex order counts its class's row
+        cells += sum(totals[a_class[i]] for i in itertools.takewhile(start.__ne__, slots))
+        for place in b_slots:
+            got, found = rows[ca][place]
+            cells += got
+            if found is not None:
+                cb, rb = b_at[place]
+                states = map(list, (reps[ca].initial_state, b_reps[cb].state_at(rb)))
+                return {"f": _fmt_coeffs(f), **dict(zip(names, states)), **found}, cells
+    return None, cells
+
+
 def _linear_relation_failure(ctx: RingContext, n: int):
     """m-sequence pairs over Z/p: dependent pairs give a singleton value
     set, independent pairs reach every value at k != 0. Returns (witness
     or None, cells checked)."""
     p = ctx.p
-    cells = 0
-    for f in iter_primitive(ctx, n):
-        levels = [(s.initial_state, level_sequence(p, s.terms))
-                  for s in _sequences(f, primitive=False)]
-        for sa, a in levels:
-            for sb, b in levels:
-                if not any(sb):
-                    continue
-                lam = _proportional(a, b, p)
-                # degree-2 state spaces cannot pair 0 with every value; the
-                # law is stated for k != 0
-                for k in range(p) if lam is not None else range(1, p):
-                    cells += 1
-                    got = _value_set(a, b, k)
-                    if got != ({lam * k % p} if lam is not None else set(range(p))):
-                        return {"f": _fmt_coeffs(f), "a_state": list(sa), "b_state": list(sb),
-                                "k": k, "got": sorted(got)}, cells
-    return None, cells
+
+    def cell(a, b):
+        (a,), (b,) = a, b
+        if b.is_zero():
+            return 0, None
+        lam = _proportional(a, b, p)
+        # degree-2 state spaces cannot pair 0 with every value; the law is
+        # stated for k != 0
+        ks = range(p) if lam is not None else range(1, p)
+        for k in ks:
+            got = _value_set(a, b, k)
+            if got != ({lam * k % p} if lam is not None else set(range(p))):
+                return k + 1 - ks[0], {"k": k, "got": sorted(got)}
+        return len(ks), None
+
+    return _pair_law(iter_primitive(ctx, n), functools.partial(_level_atlas, primitive=False), cell)
 
 
 def _relation_failure(ctx: RingContext, n: int):
@@ -763,24 +800,25 @@ def _relation_failure(ctx: RingContext, n: int):
     Exhaustive over states, markers and k for the first two generators;
     returns (witness or None, cells checked)."""
     p, e = ctx.p, ctx.e
-    cells = 0
-    for f in itertools.islice(iter_primitive(ctx, n), 2):
-        f1 = RingPolynomial(RingContext(p, 1), tuple(c % p for c in f.coeffs))
-        gammas = [level_sequence(p, s.terms) for s in _sequences(f1)]
-        for c_seq in _sequences(f, primitive=False):
-            c_top = level(c_seq, e - 1)
-            lower_zero = all(level(c_seq, i).is_zero() for i in range(e - 1))
-            for gamma in gammas:
-                for k in range(1, p):
-                    cells += 1
-                    got = _value_set(c_top, gamma, k)
-                    if len(got) == p:
-                        continue
-                    lam = _proportional(c_top, gamma, p) if len(got) == 1 else None
-                    if not lower_zero or lam is None or got != {lam * k % p}:
-                        return {"f": _fmt_coeffs(f), "state": list(c_seq.initial_state), "k": k,
-                                "got": sorted(got)}, cells
-    return None, cells
+
+    def states(f):
+        reps, slots = _atlas(f, primitive=False)
+        return reps, slots, [(level(c, e - 1), all(level(c, i).is_zero() for i in range(e - 1)))
+                             for c in reps]
+
+    def cell(c, gamma):
+        (top, lower_zero), (gamma,) = c, gamma
+        for k in range(1, p):
+            got = _value_set(top, gamma, k)
+            if len(got) == p:
+                continue
+            lam = _proportional(top, gamma, p) if len(got) == 1 else None
+            if not lower_zero or lam is None or got != {lam * k % p}:
+                return k, {"k": k, "got": sorted(got)}
+        return p - 1, None
+
+    return _pair_law(itertools.islice(iter_primitive(ctx, n), 2), states, cell,
+                     lambda f: _level_atlas(reduce_mod_p(f)), ("state",))
 
 
 def _highest_level_failure(ctx: RingContext, n: int):
@@ -791,40 +829,35 @@ def _highest_level_failure(ctx: RingContext, n: int):
     (witness or None, cells checked)."""
     p, e = ctx.p, ctx.e
     low = p ** (e - 1)
-    cells = 0
-    for f in itertools.islice(iter_primitive(ctx, n, strongly=True), 2):
-        cert = certify(f)
+
+    def states(f):
         reps, slots = _atlas(f)
-        rep_alphas = _class_alphas(cert)
-        period = reps[0].period
-        # each state's sequence, top level and alpha (rotated from its class
-        # rep's), in lex order of the state
-        data = []
-        for ci, off in (divmod(i, period) for i in slots):
-            seq = reps[ci].shifted(off)
-            data.append((seq, level(seq, e - 1), rep_alphas[ci].shifted(off)))
-        for a_seq, a_top, alpha in data:
-            for b_seq, b_top, beta in data:
-                lam = _proportional(beta, alpha, p)
-                if not lam:  # None, or the zero multiple
-                    continue
-                span = math.lcm(a_seq.period, b_seq.period, alpha.period)
-                for k in range(1, p):
-                    deltas = {(b_top.at(t) - lam * a_top.at(t)) % p
-                              for t in range(span) if alpha.at(t) == k}
-                    if len(deltas) != 1:
-                        continue
-                    cells += 1
-                    delta = deltas.pop()
-                    kinv = pow(k, p - 2, p)
-                    lower_equal = all(a_seq.at(t) % low == b_seq.at(t) % low for t in range(span))
-                    diff_ok = all((b_top.at(t) - a_top.at(t)) % p == delta * kinv * alpha.at(t) % p
-                                  for t in range(span))
-                    if lam != 1 or not lower_equal or not diff_ok:
-                        return {"f": _fmt_coeffs(f), "a_state": list(a_seq.initial_state),
-                                "b_state": list(b_seq.initial_state),
-                                "k": k, "lambda": lam, "delta": delta}, cells
-    return None, cells
+        alphas = _class_alphas(certify(f))
+        return reps, slots, [(rep, level(rep, e - 1), alpha) for rep, alpha in zip(reps, alphas)]
+
+    def cell(a, b):
+        (a_seq, a_top, alpha), (b_seq, b_top, beta) = a, b
+        lam = _proportional(beta, alpha, p)
+        if not lam:  # None, or the zero multiple
+            return 0, None
+        span = math.lcm(a_seq.period, b_seq.period, alpha.period)
+        lower_equal = all(a_seq.at(t) % low == b_seq.at(t) % low for t in range(span))
+        cells = 0
+        for k in range(1, p):
+            deltas = {(b_top.at(t) - lam * a_top.at(t)) % p
+                      for t in range(span) if alpha.at(t) == k}
+            if len(deltas) != 1:
+                continue
+            cells += 1
+            delta = deltas.pop()
+            kinv = pow(k, p - 2, p)
+            diff_ok = all((b_top.at(t) - a_top.at(t)) % p == delta * kinv * alpha.at(t) % p
+                          for t in range(span))
+            if lam != 1 or not lower_equal or not diff_ok:
+                return cells, {"k": k, "lambda": lam, "delta": delta}
+        return cells, None
+
+    return _pair_law(itertools.islice(iter_primitive(ctx, n, strongly=True), 2), states, cell)
 
 
 def suite_distribution(p: int = 3, n: int = 2, e: int = 2) -> list[UniformityReport]:

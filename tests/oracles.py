@@ -6,6 +6,7 @@ import math
 import random
 import time
 
+from residueseq import analysis
 from residueseq.analysis import DEFAULT_BUDGET, _fmt_coeffs, _report, shift_classes
 from residueseq.compress import MultivariatePoly, format_multipoly, value_table
 from residueseq.errors import CertificateError, InvalidInputError
@@ -22,7 +23,7 @@ from residueseq.polyring import (
     with_exponent,
     x_poly,
 )
-from residueseq.primitivity import PrimitivityCertificate, compute_h, iter_primitive
+from residueseq.primitivity import PrimitivityCertificate, certify, compute_h, iter_primitive
 from residueseq.ringcore import RingContext, UnivariateFn, carry_c1, format_univariate
 from residueseq.sequences import (
     LRSequence,
@@ -32,6 +33,7 @@ from residueseq.sequences import (
     generate,
     is_primitive_sequence,
     level,
+    level_sequence,
     recurrence_coeffs,
 )
 
@@ -500,3 +502,111 @@ def psi_zw_expanded(p: int, e: int, z: int, w: int) -> MultivariatePoly:
     zero = (0,) * arity
     coeffs[zero] = (coeffs.get(zero, 0) + w) % p
     return MultivariatePoly(p, arity, coeffs)
+
+
+def sequences_by_state(f: RingPolynomial, primitive: bool = True) -> list[LRSequence]:
+    """The sequence of f from each primitive state, or from every state, in
+    lex order of the state; each a rotation of its class rep, one object
+    per state."""
+    reps, slots = analysis._atlas(f, primitive)
+    laid = [rep.shifted(off) for rep in reps for off in range(rep.period)]
+    return [laid[i] for i in slots]
+
+
+# The distribution laws as scans over every ordered pair of states. They call
+# level, _value_set and _proportional through the analysis module, so an
+# injection installed there reaches them and the pair walker alike.
+
+def linear_relation_failure_per_pair(ctx: RingContext, n: int):
+    """m-sequence pairs over Z/p: dependent pairs give a singleton value
+    set, independent pairs reach every value at k != 0. Returns (witness
+    or None, cells checked)."""
+    p = ctx.p
+    cells = 0
+    for f in iter_primitive(ctx, n):
+        levels = [(s.initial_state, level_sequence(p, s.terms))
+                  for s in sequences_by_state(f, primitive=False)]
+        for sa, a in levels:
+            for sb, b in levels:
+                if not any(sb):
+                    continue
+                lam = analysis._proportional(a, b, p)
+                # degree-2 state spaces cannot pair 0 with every value; the
+                # law is stated for k != 0
+                for k in range(p) if lam is not None else range(1, p):
+                    cells += 1
+                    got = analysis._value_set(a, b, k)
+                    if got != ({lam * k % p} if lam is not None else set(range(p))):
+                        return {"f": _fmt_coeffs(f), "a_state": list(sa), "b_state": list(sb),
+                                "k": k, "got": sorted(got)}, cells
+    return None, cells
+
+
+def relation_failure_per_pair(ctx: RingContext, n: int):
+    """Top-level value sets of any recurring sequence at marker positions:
+    all of Z/p, or a singleton in the fully-degenerate proportional case.
+    Exhaustive over states, markers and k for the first two generators;
+    returns (witness or None, cells checked)."""
+    p, e = ctx.p, ctx.e
+    cells = 0
+    for f in itertools.islice(iter_primitive(ctx, n), 2):
+        f1 = RingPolynomial(RingContext(p, 1), tuple(c % p for c in f.coeffs))
+        gammas = [level_sequence(p, s.terms) for s in sequences_by_state(f1)]
+        for c_seq in sequences_by_state(f, primitive=False):
+            c_top = analysis.level(c_seq, e - 1)
+            lower_zero = all(analysis.level(c_seq, i).is_zero() for i in range(e - 1))
+            for gamma in gammas:
+                for k in range(1, p):
+                    cells += 1
+                    got = analysis._value_set(c_top, gamma, k)
+                    if len(got) == p:
+                        continue
+                    lam = analysis._proportional(c_top, gamma, p) if len(got) == 1 else None
+                    if not lower_zero or lam is None or got != {lam * k % p}:
+                        return {"f": _fmt_coeffs(f), "state": list(c_seq.initial_state), "k": k,
+                                "got": sorted(got)}, cells
+    return None, cells
+
+
+def highest_level_failure_per_pair(ctx: RingContext, n: int):
+    """Proportional markers: if the top levels differ by delta + lam * (.)
+    wherever alpha = k, then lam = 1, the lower levels agree, and the
+    top-level difference is delta * k^{-1} * alpha. Exhaustive over state
+    pairs for the first two strongly primitive generators; returns
+    (witness or None, cells checked)."""
+    p, e = ctx.p, ctx.e
+    low = p ** (e - 1)
+    cells = 0
+    for f in itertools.islice(iter_primitive(ctx, n, strongly=True), 2):
+        cert = certify(f)
+        reps, slots = analysis._atlas(f)
+        rep_alphas = analysis._class_alphas(cert)
+        period = reps[0].period
+        # each state's sequence, top level and alpha (rotated from its class
+        # rep's), in lex order of the state
+        data = []
+        for ci, off in (divmod(i, period) for i in slots):
+            seq = reps[ci].shifted(off)
+            data.append((seq, analysis.level(seq, e - 1), rep_alphas[ci].shifted(off)))
+        for a_seq, a_top, alpha in data:
+            for b_seq, b_top, beta in data:
+                lam = analysis._proportional(beta, alpha, p)
+                if not lam:  # None, or the zero multiple
+                    continue
+                span = math.lcm(a_seq.period, b_seq.period, alpha.period)
+                for k in range(1, p):
+                    deltas = {(b_top.at(t) - lam * a_top.at(t)) % p
+                              for t in range(span) if alpha.at(t) == k}
+                    if len(deltas) != 1:
+                        continue
+                    cells += 1
+                    delta = deltas.pop()
+                    kinv = pow(k, p - 2, p)
+                    lower_equal = all(a_seq.at(t) % low == b_seq.at(t) % low for t in range(span))
+                    diff_ok = all((b_top.at(t) - a_top.at(t)) % p == delta * kinv * alpha.at(t) % p
+                                  for t in range(span))
+                    if lam != 1 or not lower_equal or not diff_ok:
+                        return {"f": _fmt_coeffs(f), "a_state": list(a_seq.initial_state),
+                                "b_state": list(b_seq.initial_state),
+                                "k": k, "lambda": lam, "delta": delta}, cells
+    return None, cells

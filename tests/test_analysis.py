@@ -12,7 +12,7 @@ from oracles import (
     shift_classes_by_dict,
     verify_alpha_k_injectivity_per_state,
 )
-from test_forced_failures import _constant_level, _top_level_plus_one
+from test_forced_failures import INJECTIONS, _constant_level, _top_level_plus_one
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn
 from residueseq.polyring import RingPolynomial
@@ -551,3 +551,54 @@ def test_level0_periods_walk_once_per_residue():
     info = analysis._level0_periods.cache_info()
     assert (info.misses, info.hits) == (2, 142)
     assert info.maxsize is not None
+
+
+@pytest.mark.parametrize("f", [
+    RingPolynomial(Z9, (2, 1, 1)),
+    RingPolynomial(Z9, (1, 0, 2, 1)),
+    RingPolynomial(RingContext(5, 2), (2, 1, 1)),
+])
+def test_shift_classes_raises_when_a_sequence_misses_its_start(monkeypatch, f):
+    # generate answering from the state rotated by one slot: the walk marks
+    # a class without the rep's own start, and find() would return it forever
+    m, n = f.ctx.modulus, f.degree
+    calls = 0
+
+    def rotated(f, init):
+        nonlocal calls
+        calls += 1
+        if calls > 2 * m**n:
+            pytest.fail("shift_classes kept walking past 2 m^n sequences")
+        init = tuple(init)
+        return generate(f, init[1:] + init[:1])
+
+    monkeypatch.setattr(analysis, "generate", rotated)
+    with pytest.raises(RuntimeError, match="misses its start"):
+        shift_classes(f)
+
+
+# each pair walker law, the per-pair scan it replaced, and the ring exponent
+# suite_distribution gives it
+DISTRIBUTION_LAWS = [
+    (analysis._linear_relation_failure, oracles.linear_relation_failure_per_pair, 1),
+    (analysis._relation_failure, oracles.relation_failure_per_pair, None),
+    (analysis._highest_level_failure, oracles.highest_level_failure_per_pair, None),
+]
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 2, 2), (3, 3, 2), (3, 2, 3), (5, 2, 2)])
+def test_distribution_laws_match_the_per_pair_scans(p, e, n):
+    for law, per_pair, ring_e in DISTRIBUTION_LAWS:
+        ctx = RingContext(p, ring_e or e)
+        got = law(ctx, n)
+        assert got == per_pair(ctx, n)
+        assert got[0] is None and got[1] > 0
+
+
+@pytest.mark.parametrize("name", sorted(INJECTIONS))
+def test_distribution_laws_match_the_per_pair_scans_under_forced_failures(monkeypatch, name):
+    target, fake = INJECTIONS[name]
+    monkeypatch.setattr(analysis, target, fake)
+    for law, per_pair, ring_e in DISTRIBUTION_LAWS:
+        ctx = RingContext(3, ring_e or 2)
+        assert law(ctx, 2) == per_pair(ctx, 2)
