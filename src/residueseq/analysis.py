@@ -818,7 +818,7 @@ def _relation_failure(ctx: RingContext, n: int):
         return p - 1, None
 
     return _pair_law(itertools.islice(iter_primitive(ctx, n), 2), states, cell,
-                     lambda f: _level_atlas(reduce_mod_p(f)), ("state",))
+                     second=lambda f: _level_atlas(reduce_mod_p(f)), names=("state",))
 
 
 def _highest_level_failure(ctx: RingContext, n: int):
