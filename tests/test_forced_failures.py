@@ -66,6 +66,19 @@ def _top_level_plus_one(s, i):
     return lvl
 
 
+def _top_level_doubled_at_alpha_one(s, i):
+    # top(t + period/p) - top(t) is alpha(t) on a primitive sequence. A pair
+    # of states a rotation by a multiple of alpha's period apart keeps one
+    # top-level delta at each k, but no longer delta * k^-1 * alpha
+    lvl = sequences.level(s, i)
+    if i == s.f.ctx.e - 1 and _joint_key(s) % 7 == 6:
+        p, span = lvl.p, s.period
+        top = [lvl.at(t) for t in range(span)]
+        alpha = [(top[(t + span // p) % span] - v) % p for t, v in enumerate(top)]
+        return level_sequence(p, [v * (1 + (a == 1)) % p for v, a in zip(top, alpha)])
+    return lvl
+
+
 def _constant_level(s, i):
     lvl = sequences.level(s, i)
     if i == 1 and _joint_key(s) % 11 == 5:
@@ -91,6 +104,7 @@ INJECTIONS = {
     "shift_identity_check": ("identity_failure", _shift_fails),
     "carry_identity_check": ("identity_failure", _carry_fails),
     "level_top_plus_one": ("level", _top_level_plus_one),
+    "level_top_doubled_at_alpha_one": ("level", _top_level_doubled_at_alpha_one),
     "level_constant": ("level", _constant_level),
     "value_set_missing_one": ("_value_set", _value_set_missing_one),
     "proportional_forgotten": ("_proportional", _proportional_forgotten),
