@@ -26,7 +26,7 @@ from residueseq.compress import (
     value_table,
     zero_poly,
 )
-from residueseq import analysis
+from residueseq import analysis, sequences
 from residueseq.analysis import (
     construct_thm7,
     construct_thm8,
@@ -586,9 +586,11 @@ DISTRIBUTION_LAWS = [
 ]
 
 
-@pytest.mark.parametrize("p,e,n", [(3, 2, 2), (3, 3, 2), (3, 2, 3), (5, 2, 2)])
-def test_distribution_laws_match_the_per_pair_scans(p, e, n):
-    for law, per_pair, ring_e in DISTRIBUTION_LAWS:
+# the per-pair highest-level scan takes 8-16 s past the defaults, so of the
+# larger rings only (3, 2, 3) runs it
+@pytest.mark.parametrize("p,e,n,laws", [(3, 2, 2, 3), (3, 2, 3, 3), (3, 3, 2, 2), (5, 2, 2, 2)])
+def test_distribution_laws_match_the_per_pair_scans(p, e, n, laws):
+    for law, per_pair, ring_e in DISTRIBUTION_LAWS[:laws]:
         ctx = RingContext(p, ring_e or e)
         got = law(ctx, n)
         assert got == per_pair(ctx, n)
@@ -602,3 +604,21 @@ def test_distribution_laws_match_the_per_pair_scans_under_forced_failures(monkey
     for law, per_pair, ring_e in DISTRIBUTION_LAWS:
         ctx = RingContext(3, ring_e or 2)
         assert law(ctx, 2) == per_pair(ctx, 2)
+
+
+def test_highest_level_failure_reads_the_lower_levels(monkeypatch):
+    # with every top level zero and every nonzero lambda read as 1, a pair
+    # whose markers are truly 2 apart passes every check but equal lower
+    # levels; no one injection reaches that check at the defaults
+    def zero_top(s, i):
+        return level_sequence(s.f.ctx.p, [0]) if i == s.f.ctx.e - 1 else sequences.level(s, i)
+
+    proportional = analysis._proportional
+    monkeypatch.setattr(analysis, "level", zero_top)
+    monkeypatch.setattr(analysis, "_proportional", lambda u, v, p: 1 if proportional(u, v, p) else None)
+    ctx = RingContext(3, 2)
+    got = analysis._highest_level_failure(ctx, 2)
+    assert got == oracles.highest_level_failure_per_pair(ctx, 2)
+    witness = got[0]
+    assert (witness["lambda"], witness["delta"]) == (1, 0)
+    assert [x % 3 for x in witness["a_state"]] != [x % 3 for x in witness["b_state"]]
