@@ -753,21 +753,18 @@ def _pair_law(gens, first, cell, second=None, names=("a_state", "b_state")):
         rows = [[cell(a, b) for b in laid] for a in data]
         totals = [sum(c for c, _ in row) for row in rows]
         failing = [any(x is not None for _, x in row) for row in rows]
-        if True not in failing:
-            cells += sum(total * rep.period for total, rep in zip(totals, reps))
-            continue
-        ca = failing.index(True)
         a_class = [ci for ci, rep in enumerate(reps) for _ in range(rep.period)]
-        start = sum(rep.period for rep in reps[:ca])  # the place of rep ca
-        # each state before rep ca in lex order counts its class's row
-        cells += sum(totals[a_class[i]] for i in itertools.takewhile(start.__ne__, slots))
-        for place in b_slots:
-            got, found = rows[ca][place]
-            cells += got
-            if found is not None:
-                cb, rb = b_at[place]
-                states = map(list, (reps[ca].initial_state, b_reps[cb].state_at(rb)))
-                return {"f": _fmt_coeffs(f), **dict(zip(names, states)), **found}, cells
+        for ci in map(a_class.__getitem__, slots):
+            if not failing[ci]:
+                cells += totals[ci]
+                continue
+            for place in b_slots:
+                got, found = rows[ci][place]
+                cells += got
+                if found is not None:
+                    cb, rb = b_at[place]
+                    states = map(list, (reps[ci].initial_state, b_reps[cb].state_at(rb)))
+                    return {"f": _fmt_coeffs(f), **dict(zip(names, states)), **found}, cells
     return None, cells
 
 

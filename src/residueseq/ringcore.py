@@ -150,8 +150,6 @@ def interpolate(values, p: int) -> UnivariateFn:
     values = list(values)
     if len(values) != p:
         raise InvalidInputError(f"expected a table of {p} values, got {len(values)}")
-    if values.count(values[0]) == p:  # the x^k sums of c^(p-1-k), k >= 1, are 0 mod p
-        return UnivariateFn(p, tuple(values[:1]))
     coeffs = values[:1] + [
         -sum(v * pow(c, p - 1 - k, p) for c, v in enumerate(values) if v) for k in range(1, p)
     ]

@@ -101,15 +101,6 @@ def test_interpolate_matches_lagrange_reference():
             assert interpolate(table, p) == interpolate_lagrange(table, p), table
 
 
-def test_interpolate_constant_tables():
-    # a constant table is its own polynomial: sum_c c^j = 0 mod p for
-    # 0 <= j <= p - 2, so every higher coefficient vanishes
-    for p in (3, 5, 7, 13, 31):
-        for v in (0, 1, p - 1):
-            table = [v] * p
-            assert interpolate(table, p) == interpolate_lagrange(table, p) == UnivariateFn(p, (v,))
-
-
 def test_interpolate_wrong_length():
     with pytest.raises(InvalidInputError):
         interpolate([0, 1], 3)
