@@ -100,13 +100,6 @@ def test_psi_zw_matches_interpolated_table():
                 assert direct == psi_zw_expanded(p, e, z, w), (p, e, z, w)
 
 
-@pytest.mark.parametrize("p,e", [(31, 3), (13, 3), (5, 4)])
-def test_psi_zw_matches_the_expansion_at_large_p(p, e):
-    # most lines of the table are constant there
-    for z, w in ((0, 1), (p - 1, 2), (3, 3), (1, 0)):
-        assert psi_zw(p, e, z, w) == psi_zw_expanded(p, e, z, w), (p, e, z, w)
-
-
 def test_psi_zW():
     # singleton W forces the two-valued map
     assert psi_zW(3, 2, 1, {2}, 2) == psi_zw(3, 2, 1, 2)
