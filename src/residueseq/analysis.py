@@ -282,15 +282,15 @@ def _class_alphas(cert: PrimitivityCertificate) -> tuple[LevelSequence, ...]:
 # ---------------------------------------------------------------------------
 # agreement at the marker value k
 
-def _walk_row(live, abit, count, masks):
+def _walk_row(live, abit, masks):
     """Compares the pairwise scan makes between row a (bit abit) and the
-    states in live, at the agreement masks of a's count k-positions; returns
-    them and the states of live that agree with a everywhere."""
+    states in live, at the list of agreement masks of a's k-positions;
+    returns them and the states of live that agree with a everywhere."""
     checked = 0
     for done, mask in enumerate(masks):
         if live in (0, abit):
             # a alone is left, if anything: it agrees with itself from here on
-            checked += (count - done) * bool(live)
+            checked += (len(masks) - done) * bool(live)
             break
         checked += live.bit_count()
         live &= mask
@@ -317,9 +317,12 @@ def verify_alpha_k_injectivity(
     counts.pairs is the ordered pairs covered and counts.positions the
     compares the pairwise scan makes, each pair compared in ascending t up
     to its first mismatch; the witness is the first agreeing pair of
-    distinct states in lex order.
+    distinct states in lex order. A state's row is its class rep's row
+    rotated, so one walk per (class, cyclic start) settles every row.
 
-    The budget counts 64-bit mask words: the agreement table plus one
+    The budget counts 64-bit mask words: a price of L * |V| (L the least
+    period, |V| the number of compressed values), kept so that sampled
+    cells draw the same rows though no such table is built, plus one
     full-width mask per row. When the rows do not all fit, a seeded
     sample of as many as fit is walked, in lex order, and the report is
     marked sampled.
@@ -348,48 +351,59 @@ def verify_alpha_k_injectivity(
     by_value: dict[int, int] = {}
     for i, v in enumerate(itertools.chain.from_iterable(rows)):
         by_value[v] = by_value.get(v, 0) | 1 << i
-    # agree[t][v]: the states whose compressed row is v at t, each L-bit
-    # block of by_value[v] rotated so that bit r takes bit (r + t) % L
-    agree = []
-    for t in range(period):
-        low = ((1 << (period - t)) - 1) * blocks
-        high = full ^ low
-        agree.append({v: (mask >> t) & low | (mask << (period - t)) & high
-                      for v, mask in by_value.items()})
 
     def state(i):
         """The i-th state in lex order; its bit is slots[i]."""
         ci, r = divmod(slots[i], period)
         return list(reps[ci].state_at(r))
 
-    # rows of one ceil(N/64)-word mask each that fit beside the L*|V| of agree
+    # rows of one ceil(N/64)-word mask each that fit beside the L*|V| price
     allowed = max(1, budget // -(-total // 64) - period * len(by_value))
     sampled = allowed < total
     walk = sorted(random.Random(seed).sample(range(total), allowed)) if sampled else range(total)
 
-    def masks(ia):
-        """The number of a's k-positions and, lazily, their agreement masks
-        in ascending t."""
-        ci, r = divmod(slots[ia], period)
+    def masks(b):
+        """The agreement masks of state (ci, r), at bit b, at its k-positions
+        in ascending t: at the rep's k-position t, the states whose compressed
+        value at s = (t - r) % L is row[t], each L-bit block of by_value[row[t]]
+        rotated so that bit q takes bit (q + s) % L."""
+        ci, r = divmod(b, period)
         row, ms = rows[ci], marks[ci]
         cut = bisect.bisect_left(ms, r)
-        return len(ms), (agree[(t - r) % period][row[t]] for t in ms[cut:] + ms[:cut])
+        for t in ms[cut:] + ms[:cut]:
+            s = (t - r) % period
+            low = (blocks << (period - s)) - blocks
+            yield (by_value[row[t]] >> s) & low | (by_value[row[t]] << (period - s)) & (full ^ low)
+
+    # state (ci, r) walks the rep's masks, every block rotated by r, from
+    # cut = bisect_left(marks[ci], r) on; popcounts and the early exit do not
+    # see the rotation, so its compares depend on (ci, cut) alone, and its
+    # agreeing states are the rep's rotated: a class fails at all or none
+    keys = [(ci, bisect.bisect_left(marks[ci], r) % (len(marks[ci]) or 1))
+            for ci, r in (divmod(slots[ia], period) for ia in walk)]
+    walked = {}
+    for ci, cuts in itertools.groupby(sorted(set(keys)), operator.itemgetter(0)):
+        rep, abit = list(masks(ci * period)), 1 << ci * period
+        for _, cut in cuts:
+            done, agreeing = _walk_row(full, abit, rep[cut:] + rep[:cut])
+            walked[ci, cut] = done, agreeing & ~abit != 0
+        del rep  # one class's masks at a time
 
     witness = None
     checked = 0
     pairs = len(walk) * total
     for j, ia in enumerate(walk):
-        abit = 1 << slots[ia]
-        done, agreeing = _walk_row(full, abit, *masks(ia))
-        others = agreeing & ~abit
-        if others:
-            flags = format(others, f"0{total}b")[::-1]  # flags[i] is bit i
+        done, fails = walked[keys[j]]
+        if fails:
+            abit, row = 1 << slots[ia], list(masks(slots[ia]))
+            _, agreeing = _walk_row(full, abit, row)
+            flags = format(agreeing & ~abit, f"0{total}b")[::-1]  # flags[i] is bit i
             ib = next(ib for ib, b in enumerate(slots) if flags[b] == "1")
             # the pairwise scan stops at (a, b): recount a's row up to it
             upto = bytearray(b"0" * total)
             for b in slots[:ib + 1]:
                 upto[~b] = ord("1")
-            done, _ = _walk_row(int(upto, 2), abit, *masks(ia))
+            done, _ = _walk_row(int(upto, 2), abit, row)
             checked += done
             pairs = j * total + ib + 1
             witness = {"a_state": state(ia), "b_state": state(ib), "k": k}

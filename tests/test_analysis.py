@@ -293,6 +293,48 @@ def test_alpha_k_builds_each_class_alpha_once(monkeypatch):
     assert len(calls) == 5
 
 
+def test_alpha_k_walks_each_class_and_cyclic_start_once(monkeypatch):
+    # 600 states in 5 classes of 120, each with 25 k-positions at k = 1: a
+    # state's row is its rep's row rotated, read from the first k-position at
+    # or after its offset, so 125 walks stand for the 600 rows
+    calls = []
+    walk_row = analysis._walk_row
+    monkeypatch.setattr(analysis, "_walk_row",
+                        lambda *args: calls.append(args) or walk_row(*args))
+    cert = find_primitive(RingContext(5, 2), 2)
+    m = CompressingMap(g=UnivariateFn(5, (0, 1)), eta=zero_poly(5, 1), e=2)
+    report = verify_alpha_k_injectivity(cert, m, 1)
+    assert report.holds and not report.sampled
+    assert report.counts["pairs"] == 600**2
+    assert len(calls) == 125
+    # a budget of one row walks one (class, cyclic start), not every class
+    calls.clear()
+    report = verify_alpha_k_injectivity(cert, m, 1, budget=1)
+    assert report.holds and report.sampled
+    assert report.counts["pairs"] == 600
+    assert len(calls) == 1
+
+
+def test_verify_alpha_k_matches_per_state_oracle_on_forced_failures_p5():
+    # the first non-strong primitive generator at p = 5, e = 2, forced through
+    # the strong-primitivity guard: g = x^2 fails on some cells, exhaustive
+    # and sampled (budget 2000 draws one row, mostly not a rep)
+    ctx = RingContext(5, 2)
+    weak = certify(next(f for f in iter_primitive(ctx, 2) if not certify(f).strongly_primitive))
+    assert not weak.strongly_primitive
+    forced = dataclasses.replace(weak, strongly_primitive=True)
+    fails = 0
+    for seed in range(5):
+        table = random.Random(seed).choices(range(5), k=5)
+        m = CompressingMap(g=UnivariateFn(5, (0, 0, 1)), eta=from_table(5, 1, table), e=2)
+        for k, budget in itertools.product((1, 2), (analysis.DEFAULT_BUDGET, 2000)):
+            fast = verify_alpha_k_injectivity(forced, m, k, budget)
+            assert fast.sampled == (budget == 2000)
+            assert fast.to_dict() == verify_alpha_k_injectivity_per_state(forced, m, k, budget).to_dict()
+            fails += not fast.holds
+    assert fails > 0
+
+
 STRONG9 = certify(RingPolynomial(Z9, (2, 1, 1)))
 FORCED9 = dataclasses.replace(certify(RingPolynomial(Z9, (2, 2, 1))), strongly_primitive=True)
 
