@@ -289,7 +289,7 @@ def verify_alpha_k_injectivity_per_state(cert, m, k, budget=DEFAULT_BUDGET, seed
         compressed.append([table[v] for v in seq.terms])
         positions.append([t for t in range(seq.period) if alpha.at(t) == k])
 
-    # the budget counts 64-bit words of N-bit masks: a table of L * |V|
+    # the budget counts 64-bit words of N-bit masks: a price of L * |V|
     # of them and one for each row; over budget, seeded rows are drawn
     total = len(states)
     words = -(-total // 64)

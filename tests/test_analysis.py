@@ -345,7 +345,7 @@ FORCED9 = dataclasses.replace(certify(RingPolynomial(Z9, (2, 2, 1))), strongly_p
     table=st.tuples(*[st.integers(0, 2)] * 3),
     deg_g=st.sampled_from([1, 2]),
     k=st.sampled_from([1, 2]),
-    # 72 states make 2 mask words a row and the table 24 * |V| <= 72 rows,
+    # 72 states make 2 mask words a row and the price 24 * |V| <= 72 rows,
     # so budgets below 2 * (72 + 24 * |V|), at most 288, sample rows
     budget=st.one_of(st.integers(1, 300), st.just(analysis.DEFAULT_BUDGET)),
     seed=st.integers(0, 2**16),
