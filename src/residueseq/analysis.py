@@ -317,15 +317,13 @@ def verify_alpha_k_injectivity(
     counts.pairs is the ordered pairs covered and counts.positions the
     compares the pairwise scan makes, each pair compared in ascending t up
     to its first mismatch; the witness is the first agreeing pair of
-    distinct states in lex order. A state's row is its class rep's row
-    rotated, so one walk per (class, cyclic start) settles every row.
+    distinct states in lex order. A state's masks are its class rep's,
+    each rotated back by the state's offset, so one walk per (class,
+    cyclic start) settles every row.
 
-    The budget counts 64-bit mask words: a price of L * |V| (L the least
-    period, |V| the number of compressed values), kept so that sampled
-    cells draw the same rows though no such table is built, plus one
-    full-width mask per row. When the rows do not all fit, a seeded
-    sample of as many as fit is walked, in lex order, and the report is
-    marked sampled.
+    The budget counts 64-bit mask words, one N-bit mask per row: when
+    fewer than N rows fit, a seeded sample of max(1, budget // ceil(N/64))
+    rows is walked, in lex order, and the report is marked sampled.
 
     deg g >= 2 requires a strongly primitive certificate; deg g = 1 works
     for any primitive one. A counterexample would falsify the
@@ -352,42 +350,30 @@ def verify_alpha_k_injectivity(
     for i, v in enumerate(itertools.chain.from_iterable(rows)):
         by_value[v] = by_value.get(v, 0) | 1 << i
 
-    def state(i):
-        """The i-th state in lex order; its bit is slots[i]."""
-        ci, r = divmod(slots[i], period)
-        return list(reps[ci].state_at(r))
+    def rotated(mask, s):
+        """Every L-bit block of mask rotated: bit q takes bit (q + s) % L, 0 <= s <= L."""
+        low = (blocks << (period - s)) - blocks
+        return (mask >> s) & low | (mask << (period - s)) & (full ^ low)
 
-    # rows of one ceil(N/64)-word mask each that fit beside the L*|V| price
-    allowed = max(1, budget // -(-total // 64) - period * len(by_value))
+    def rep_masks(ci):
+        """At each k-position t of class ci's rep, the states whose value at t is the rep's."""
+        return [rotated(by_value[rows[ci][t]], t) for t in marks[ci]]
+
+    allowed = max(1, budget // -(-total // 64))
     sampled = allowed < total
     walk = sorted(random.Random(seed).sample(range(total), allowed)) if sampled else range(total)
 
-    def masks(b):
-        """The agreement masks of state (ci, r), at bit b, at its k-positions
-        in ascending t: at the rep's k-position t, the states whose compressed
-        value at s = (t - r) % L is row[t], each L-bit block of by_value[row[t]]
-        rotated so that bit q takes bit (q + s) % L."""
-        ci, r = divmod(b, period)
-        row, ms = rows[ci], marks[ci]
-        cut = bisect.bisect_left(ms, r)
-        for t in ms[cut:] + ms[:cut]:
-            s = (t - r) % period
-            low = (blocks << (period - s)) - blocks
-            yield (by_value[row[t]] >> s) & low | (by_value[row[t]] << (period - s)) & (full ^ low)
-
-    # state (ci, r) walks the rep's masks, every block rotated by r, from
-    # cut = bisect_left(marks[ci], r) on; popcounts and the early exit do not
-    # see the rotation, so its compares depend on (ci, cut) alone, and its
-    # agreeing states are the rep's rotated: a class fails at all or none
+    # state (ci, r) walks its rep's masks from cut = bisect_left(marks[ci], r),
+    # rotated by -r, which popcounts and the early exit do not see: its compares
+    # depend on (ci, cut) alone, and a class fails at all of its states or none
     keys = [(ci, bisect.bisect_left(marks[ci], r) % (len(marks[ci]) or 1))
             for ci, r in (divmod(slots[ia], period) for ia in walk)]
     walked = {}
     for ci, cuts in itertools.groupby(sorted(set(keys)), operator.itemgetter(0)):
-        rep, abit = list(masks(ci * period)), 1 << ci * period
+        rep, abit = rep_masks(ci), 1 << ci * period
         for _, cut in cuts:
             done, agreeing = _walk_row(full, abit, rep[cut:] + rep[:cut])
             walked[ci, cut] = done, agreeing & ~abit != 0
-        del rep  # one class's masks at a time
 
     witness = None
     checked = 0
@@ -395,7 +381,9 @@ def verify_alpha_k_injectivity(
     for j, ia in enumerate(walk):
         done, fails = walked[keys[j]]
         if fails:
-            abit, row = 1 << slots[ia], list(masks(slots[ia]))
+            (ci, cut), (_, r) = keys[j], divmod(slots[ia], period)
+            rep, abit = rep_masks(ci), 1 << slots[ia]
+            row = [rotated(mask, period - r) for mask in rep[cut:] + rep[:cut]]
             _, agreeing = _walk_row(full, abit, row)
             flags = format(agreeing & ~abit, f"0{total}b")[::-1]  # flags[i] is bit i
             ib = next(ib for ib, b in enumerate(slots) if flags[b] == "1")
@@ -406,7 +394,9 @@ def verify_alpha_k_injectivity(
             done, _ = _walk_row(int(upto, 2), abit, row)
             checked += done
             pairs = j * total + ib + 1
-            witness = {"a_state": state(ia), "b_state": state(ib), "k": k}
+            states = (divmod(slots[i], period) for i in (ia, ib))
+            a_state, b_state = (list(reps[c].state_at(s)) for c, s in states)
+            witness = {"a_state": a_state, "b_state": b_state, "k": k}
             break
         checked += done
 
@@ -753,32 +743,34 @@ def _pair_law(gens, first, cell, second=None, names=("a_state", "b_state")):
     with no second, b runs over the states of first(f) too.
 
     cell(a, b) gives (cells, failure or None) and must not change when a
-    and b rotate together. It runs once per (class rep a, state b), since
-    (shift_r rep, b) maps one to one onto (rep, shift_-r b): a class counts
-    its rep's row times its period, and the first failing a is the rep of
-    the first failing class, as a rep is the least state of its class.
+    and b rotate together. Each b, in lex order, is rotated once and paired
+    with every class rep whose row has not failed; a row ends at its first
+    failing b, and only class totals are kept. Since (shift_r rep, b) maps
+    one to one onto (rep, shift_-r b), a class counts its rep's row times
+    its period, and the first failing a is the rep of the first failing
+    class, as a rep is the least state of its class.
     """
     cells = 0
     for f in gens:
         b_reps, b_slots, b_data = member = (second or first)(f)
         reps, slots, data = first(f) if second else member
         b_at = [(cb, r) for cb, rep in enumerate(b_reps) for r in range(rep.period)]
-        laid = [tuple(s.shifted(r) for s in b_data[cb]) for cb, r in b_at]
-        rows = [[cell(a, b) for b in laid] for a in data]
-        totals = [sum(c for c, _ in row) for row in rows]
-        failing = [any(x is not None for _, x in row) for row in rows]
         a_class = [ci for ci, rep in enumerate(reps) for _ in range(rep.period)]
+        totals, failed = [0] * len(reps), [None] * len(reps)
+        for cb, rb in map(b_at.__getitem__, b_slots):
+            b = tuple(s.shifted(rb) for s in b_data[cb])
+            for ci, a in enumerate(data):
+                if failed[ci] is None:
+                    got, found = cell(a, b)
+                    totals[ci] += got
+                    if found is not None:
+                        failed[ci] = found, cb, rb
         for ci in map(a_class.__getitem__, slots):
-            if not failing[ci]:
-                cells += totals[ci]
-                continue
-            for place in b_slots:
-                got, found = rows[ci][place]
-                cells += got
-                if found is not None:
-                    cb, rb = b_at[place]
-                    states = map(list, (reps[ci].initial_state, b_reps[cb].state_at(rb)))
-                    return {"f": _fmt_coeffs(f), **dict(zip(names, states)), **found}, cells
+            cells += totals[ci]
+            if failed[ci] is not None:
+                found, cb, rb = failed[ci]
+                states = map(list, (reps[ci].initial_state, b_reps[cb].state_at(rb)))
+                return {"f": _fmt_coeffs(f), **dict(zip(names, states)), **found}, cells
     return None, cells
 
 

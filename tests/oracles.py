@@ -289,12 +289,10 @@ def verify_alpha_k_injectivity_per_state(cert, m, k, budget=DEFAULT_BUDGET, seed
         compressed.append([table[v] for v in seq.terms])
         positions.append([t for t in range(seq.period) if alpha.at(t) == k])
 
-    # the budget counts 64-bit words of N-bit masks: a price of L * |V|
-    # of them and one for each row; over budget, seeded rows are drawn
+    # the budget counts 64-bit words of N-bit masks, one mask for each row;
+    # over budget, seeded rows are drawn
     total = len(states)
-    words = -(-total // 64)
-    table_words = len(compressed[0]) * len(set(itertools.chain.from_iterable(compressed)))
-    allowed = max(1, budget // words - table_words)
+    allowed = max(1, budget // -(-total // 64))
     sampled = allowed < total
     rows = sorted(random.Random(seed).sample(range(total), allowed)) if sampled else range(total)
     pair_space = ((ia, ib) for ia in rows for ib in range(total))
