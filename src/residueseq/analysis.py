@@ -3,14 +3,16 @@
 Every experiment is a pure function of its parameters and seed and yields
 a UniformityReport; a failing verdict always carries a replayable
 witness. A work budget guards the two suites whose scans grow without
-bound: alpha-k counts 64-bit mask words, thm9 counts positions, and the
-other suites take none. A scan over its budget falls back to seeded
-sampling and marks the report accordingly.
+bound: alpha-k counts 64-bit mask words, thm9 counts p^e value-table
+entries per s plus the positions its failing walks read, and the other
+suites take none. A scan over its budget falls back to seeded sampling
+and marks the report accordingly.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import functools
 import inspect
 import itertools
@@ -223,33 +225,53 @@ def _state_codes(seq: LRSequence):
     return codes
 
 
+def _class_walk(f: RingPolynomial, primitive: bool = True):
+    """The reps of shift_classes(f, primitive), one at a time: a class is
+    walked only once the reps before it are read. The walk keeps one byte
+    per state code."""
+    m, n = f.ctx.modulus, f.degree
+    seen = bytearray(m**n)  # by state code: 0 unseen, 1 walked, 2 left out
+    if primitive:
+        for state in itertools.product(range(0, m, f.ctx.p), repeat=n):
+            seen[functools.reduce(lambda c, v: c * m + v, state)] = 2
+    code = seen.find(0)
+    while code >= 0:
+        s = generate(f, (code // m**(n - 1 - k) % m for k in range(n)))
+        # the states of one least period are distinct and in no earlier class
+        for c in _state_codes(s):
+            seen[c] = 1
+        if seen[code] != 1:  # else find() would return code forever
+            raise RuntimeError(f"the sequence of {f} from state code {code} misses its start")
+        yield s
+        code = seen.find(0, code)
+
+
+def _state_count(f: RingPolynomial, primitive: bool = True) -> int:
+    """The states _class_walk(f, primitive) covers: m^n - (m/p)^n primitive
+    states, or all m^n. f(0) is a unit, so every state lies on a cycle and
+    a cycle through a primitive state stays primitive."""
+    m, n = f.ctx.modulus, f.degree
+    return m**n - (m // f.ctx.p) ** n if primitive else m**n
+
+
 def shift_classes(f: RingPolynomial, primitive: bool = True):
     """Shift-class representatives of the sequences of f started from every
     primitive initial state (nonzero mod p), or from every state.
 
     Returns (reps, walked): reps in lex order of their initial state, each
     the least state of its class, and walked the number of states the
-    walk marked. Verdicts of rotation-invariant checks carry over from the
-    rep to the whole class. The walk keeps one byte per state code and the
-    reps; _slots adds random access to the states.
+    walk covers, _state_count(f, primitive). Verdicts of rotation-invariant
+    checks carry over from the rep to the whole class. _slots adds random
+    access to the states.
     """
-    m, n = f.ctx.modulus, f.degree
-    seen = bytearray(m**n)  # by state code: 0 unseen, 1 walked, 2 left out
-    if primitive:
-        for state in itertools.product(range(0, m, f.ctx.p), repeat=n):
-            seen[functools.reduce(lambda c, v: c * m + v, state)] = 2
-    reps: list[LRSequence] = []
-    code = seen.find(0)
-    while code >= 0:
-        s = generate(f, (code // m**(n - 1 - k) % m for k in range(n)))
-        reps.append(s)
-        # the states of one least period are distinct and in no earlier class
-        for c in _state_codes(s):
-            seen[c] = 1
-        if seen[code] != 1:  # else find() would return code forever
-            raise RuntimeError(f"the sequence of {f} from state code {code} misses its start")
-        code = seen.find(0, code)
-    return reps, seen.count(1)
+    return list(_class_walk(f, primitive)), _state_count(f, primitive)
+
+
+def _lazy_classes(f: RingPolynomial):
+    """_class_walk(f) behind a tee that is never advanced: it keeps every rep
+    a copy has read, so each copy reads the reps from the first and walks
+    on only past those read before."""
+    return itertools.tee(_class_walk(f), 1)[0]
 
 
 def _slots(reps) -> array:
@@ -492,11 +514,13 @@ def count_uniform_s(
     over all primitive a.
 
     s outside the image of the map is vacuously uniform and reported
-    separately. Verdicts are memoized per shift class of the initial
-    state, which is exact because uniformity is rotation-invariant; if
-    even that exceeds the budget the scan samples states instead.
+    separately. Every other s is settled by _scaled_uniform_scan: one pass
+    over its table of p^e split flags, and for a failing s a walk of the
+    shift classes to its first disagreement, shared across s. The budget
+    prices p^e entries per s plus the positions the failing walks read;
+    once the running total would pass it, the scan samples
+    max(1, budget // (period * p)) seeded states instead.
     """
-    started = time.perf_counter()
     ctx = cert.f.ctx
     p = ctx.p
     if not cert.strongly_primitive:
@@ -506,40 +530,40 @@ def count_uniform_s(
         raise InvalidInputError("the scaling factor must be a unit")
     phi = value_table(m, ctx)
     img = set(phi)
+    scan = [s for s in range(p) if s in img]
 
-    reps, walked = shift_classes(cert.f)
-    period = reps[0].period if reps else 1
-    positions = 0
-    sampled = len(reps) * period * p > budget
+    classes = _lazy_classes(cert.f)
+    verdicts: dict[int, tuple] = {}
+    spent = 0
+    for s in scan:
+        spent += ctx.modulus
+        if spent > budget:
+            break
+        witness, positions = _scaled_uniform_scan(
+            cert.f, copy.copy(classes), phi, lam, s, budget - spent)
+        if positions is None:
+            break
+        verdicts[s] = witness, positions
+        if witness is not None:
+            spent += positions
+    pairs = _state_count(cert.f)
+    sampled = len(verdicts) < len(scan)
     if sampled:
+        reps = list(classes)
+        period = reps[0].period
         slots = _slots(reps)
         # a sample of the lex-ordered states draws by their number alone
         drawn = sorted(random.Random(seed).sample(range(len(slots)), max(1, budget // (period * p))))
         seqs = [reps[ci].shifted(off) for ci, off in (divmod(slots[i], period) for i in drawn)]
         pairs = len(seqs)
-    else:
-        seqs = reps
-        pairs = walked
+        verdicts = {s: _first_split(seqs, _split_values(phi, lam, s), s) for s in scan}
 
-    holding = []
-    vacuous = []
-    failing: dict[int, dict] = {}
-    for s in range(p):
-        if s not in img:
-            vacuous.append(s)
-            continue
-        witness, scanned = _scaled_uniform_scan(seqs, phi, lam, s)
-        positions += scanned
-        if witness is None:
-            holding.append(s)
-        else:
-            failing[s] = witness
     return UniformCount(
-        holding=tuple(holding),
-        vacuous=tuple(vacuous),
-        failing=failing,
+        holding=tuple(s for s, (witness, _) in verdicts.items() if witness is None),
+        vacuous=tuple(s for s in range(p) if s not in img),
+        failing={s: witness for s, (witness, _) in verdicts.items() if witness is not None},
         pairs=pairs,
-        positions=positions,
+        positions=sum(positions for _, positions in verdicts.values()),
         sampled=sampled,
         seed=seed,
     )
@@ -930,19 +954,49 @@ def suite_alpha_k(
     return reports
 
 
-def _scaled_uniform_scan(seqs, phi, lam, s):
+def _split_values(phi, lam, s) -> list[bool]:
+    """By v in Z/(p^e), whether exactly one of phi(v) and phi(lam * v) is s;
+    phi is the map's value table on Z/(p^e)."""
+    modulus = len(phi)
+    return [(phi[v] == s) != (phi[lam * v % modulus] == s) for v in range(modulus)]
+
+
+def _first_split(seqs, split, s, limit=math.inf):
     """First disagreement of compress(a) and compress(lam * a) on hitting
     s, over one period of each a in seqs, as (witness or None, positions
-    compared); phi is the map's value table on Z/(p^e)."""
-    modulus = len(phi)
-    split = [(phi[v] == s) != (phi[lam * v % modulus] == s) for v in range(modulus)]
+    compared), or (None, None) once the positions would pass limit; split
+    is _split_values(phi, lam, s). seqs are read one at a time."""
     positions = 0
     for seq in seqs:
         t = next(itertools.compress(itertools.count(), map(split.__getitem__, seq.terms)), None)
+        positions += seq.period if t is None else t + 1
+        if positions > limit:
+            return None, None
         if t is not None:
-            return {"state": list(seq.initial_state), "t": t, "s": s}, positions + t + 1
-        positions += seq.period
+            return {"state": list(seq.initial_state), "t": t, "s": s}, positions
     return None, positions
+
+
+def _scaled_uniform_scan(f, reps, phi, lam, s, limit=math.inf):
+    """_first_split over the sequences of f from every primitive state, as
+    (witness or None, positions compared), or (None, None) past limit;
+    reps, one sequence per shift class of f in lex order, are read only
+    when s fails, up to its first disagreement.
+
+    Whether any term splits rests on which values the sequences reach, a
+    fact of arithmetic and not the uniformity law under test: each term
+    is the first entry of a primitive state and each such entry starts a
+    sequence, so they reach all of Z/(p^e) for n >= 2, as (v, 1, 0, ...)
+    is primitive, and the units for n = 1. So s holds exactly when no
+    reached value splits, and the full scan would have compared every
+    primitive state once.
+    """
+    split = _split_values(phi, lam, s)
+    if f.degree == 1:  # the multiples of p are out of reach
+        split[::f.ctx.p] = [False] * len(split[::f.ctx.p])
+    if not any(split):
+        return None, _state_count(f)
+    return _first_split(reps, split, s, limit)
 
 
 def suite_thm7(ps=(3, 5), e: int = 2, n: int = 2) -> list[UniformityReport]:
@@ -968,12 +1022,12 @@ def suite_thm7(ps=(3, 5), e: int = 2, n: int = 2) -> list[UniformityReport]:
                     {"positions": 2, "pairs": 0}, False, 0, started)
         )
 
-        reps, walked = shift_classes(cert.f)
+        classes, walked = _lazy_classes(cert.f), _state_count(cert.f)
         for s in range(p):
             started = time.perf_counter()
             m = construct_thm7(g, s, e)
             witness, positions = _scaled_uniform_scan(
-                reps, value_table(m, ctx), ctx.modulus - 1, s)
+                cert.f, copy.copy(classes), value_table(m, ctx), ctx.modulus - 1, s)
             params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x",
                       "s": s, "eta": format_multipoly(m.eta)}
             counts = {"positions": positions, "pairs": walked}
@@ -1001,7 +1055,7 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
                     {"positions": 1, "pairs": 0}, False, 0, started)
         )
 
-        reps, walked = shift_classes(cert.f)
+        classes, walked = _lazy_classes(cert.f), _state_count(cert.f)
         for s in range(p):
             started = time.perf_counter()
             m = construct_thm8(g, s, lam, 0, e)
@@ -1012,7 +1066,7 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
                 )
                 continue
             witness, positions = _scaled_uniform_scan(
-                reps, value_table(m, ctx), ctx.modulus - 1, s)
+                cert.f, copy.copy(classes), value_table(m, ctx), ctx.modulus - 1, s)
             params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x^2",
                       "s": s, "lambda": lam, "eta": format_multipoly(m.eta)}
             counts = {"positions": positions, "pairs": walked}

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -138,6 +139,12 @@ def test_shift_classes_partition():
     FIB9,
     RingPolynomial(RingContext(5, 2), (2, 1, 1)),
     RingPolynomial(RingContext(3, 2), (1, 0, 2, 1)),
+    RingPolynomial(RingContext(3, 3), (2, 1, 1)),
+    RingPolynomial(RingContext(5, 3), (2, 1)),
+    # not primitive: a(t+1) = 7 a(t) has 5 classes of period 4; x^2 + 1
+    # has short classes
+    RingPolynomial(RingContext(5, 2), (18, 1)),
+    RingPolynomial(RingContext(3, 3), (1, 0, 1)),
 ])
 def test_shift_classes_matches_the_dict_walk(f, primitive):
     m, n, p = f.ctx.modulus, f.degree, f.ctx.p
@@ -460,9 +467,11 @@ def test_count_uniform_s_sampled():
     ctx = RingContext(5, 2)
     cert = find_primitive(ctx, 2, strongly=True)
     m = CompressingMap(g=UnivariateFn(5, (0, 0, 1)), eta=psi_zw(5, 2, 0, 2), e=2)
-    uc = count_uniform_s(cert, m, ctx.modulus - 1, budget=500, seed=1)
+    # the exact count prices 5 tables of 25 entries and the failing walks
+    # of s = 1, 2, 3 (8 + 2 + 2 positions): 100 stops at the table of s = 3
+    uc = count_uniform_s(cert, m, ctx.modulus - 1, budget=100, seed=1)
     assert uc.sampled
-    uc2 = count_uniform_s(cert, m, ctx.modulus - 1, budget=500, seed=1)
+    uc2 = count_uniform_s(cert, m, ctx.modulus - 1, budget=100, seed=1)
     assert uc == uc2
     # the draws are pinned: random.sample sees the primitive states as a
     # lex-ordered population, whatever the state walk keeps internally
@@ -471,19 +480,37 @@ def test_count_uniform_s_sampled():
         failing={1: {"state": [5, 22], "t": 2, "s": 1}, 2: {"state": [5, 22], "t": 1, "s": 2},
                  3: {"state": [5, 22], "t": 1, "s": 3}},
         pairs=1, positions=247, sampled=True, seed=1)
-    uc = count_uniform_s(cert, m, ctx.modulus - 1, budget=2400, seed=2)
+    # 57 leaves 7 positions for the walk of s = 1, which reads 8
+    uc = count_uniform_s(cert, m, ctx.modulus - 1, budget=57, seed=2)
     assert uc == analysis.UniformCount(
         holding=(0, 4), vacuous=(),
         failing={1: {"state": [2, 12], "t": 2, "s": 1}, 2: {"state": [2, 12], "t": 0, "s": 2},
                  3: {"state": [2, 12], "t": 0, "s": 3}},
-        pairs=4, positions=965, sampled=True, seed=2)
+        pairs=1, positions=245, sampled=True, seed=2)
+
+
+def test_count_uniform_s_budget_prices_tables_and_failing_walks():
+    ctx = RingContext(5, 2)
+    cert = find_primitive(ctx, 2, strongly=True)
+    m = CompressingMap(g=UnivariateFn(5, (0, 0, 1)), eta=psi_zw(5, 2, 0, 2), e=2)
+    exact = count_uniform_s(cert, m, ctx.modulus - 1)
+    assert exact == analysis.UniformCount(
+        holding=(0, 4), vacuous=(),
+        failing={1: {"state": [0, 1], "t": 7, "s": 1}, 2: {"state": [0, 1], "t": 1, "s": 2},
+                 3: {"state": [0, 1], "t": 1, "s": 3}},
+        pairs=600, positions=2 * 600 + 8 + 2 + 2, sampled=False, seed=0)
+    # 5 * 25 table entries + 12 walk positions = 137
+    assert count_uniform_s(cert, m, ctx.modulus - 1, budget=137) == exact
+    assert count_uniform_s(cert, m, ctx.modulus - 1, budget=136).sampled
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_scaled_uniform_scan_matches_the_per_term_loop(p):
     ctx = RingContext(p, 2)
     m = ctx.modulus
-    reps, _ = shift_classes(find_primitive(ctx, 2, strongly=True).f)
+    f = find_primitive(ctx, 2, strongly=True).f
+    reps, _ = shift_classes(f)
+    classes = analysis._lazy_classes(f)
     rng = random.Random(p)
     # random tables over a small and a full alphabet, and a constant table
     tables = [[rng.randrange(k) for _ in range(m)] for k in (2, p) for _ in range(3)]
@@ -493,7 +520,7 @@ def test_scaled_uniform_scan_matches_the_per_term_loop(p):
             if lam % p == 0:
                 continue
             for s in range(p):
-                got = analysis._scaled_uniform_scan(reps, phi, lam, s)
+                got = analysis._scaled_uniform_scan(f, copy.copy(classes), phi, lam, s)
                 assert got == scaled_uniform_scan_per_term(reps, phi, lam, s)
                 if lam == 1 or len(set(phi)) == 1:
                     assert got == (None, sum(r.period for r in reps))
@@ -508,7 +535,7 @@ def test_scaled_uniform_scan_holding_and_first_hit_positions():
     phi = value_table(CompressingMap(g=UnivariateFn(5, (0, 0, 1)),
                                      eta=psi_zw(5, 2, 0, thm9_choose_w(5)), e=2), ctx)
     for s in range(5):
-        got = analysis._scaled_uniform_scan(reps, phi, 24, s)
+        got = analysis._scaled_uniform_scan(cert.f, reps, phi, 24, s)
         assert got == scaled_uniform_scan_per_term(reps, phi, 24, s)
         assert (got[0] is None) == (s in (0, 4))
         if s in (0, 4):
@@ -518,19 +545,88 @@ def test_scaled_uniform_scan_holding_and_first_hit_positions():
     seqs = [first] + reps[1:]
     v = first.terms[0]
     phi = [int(u == v) for u in range(25)]
-    got = analysis._scaled_uniform_scan(seqs, phi, 24, 1)
+    got = analysis._scaled_uniform_scan(cert.f, seqs, phi, 24, 1)
     assert got == ({"state": list(first.initial_state), "t": 0, "s": 1}, 1)
     assert got == scaled_uniform_scan_per_term(seqs, phi, 24, 1)
     # a hit at the last term of a later sequence: a(t+1) = 7 a(t) has period
     # 4 and no value twice, so v and v / lam split and occur nowhere earlier
-    seqs = [generate(RingPolynomial(ctx, (18, 1)), (a,)) for a in (1, 2)]
+    f = RingPolynomial(ctx, (18, 1))
+    seqs = [generate(f, (a,)) for a in (1, 2)]
     v = seqs[1].terms[-1]
     earlier = set(seqs[0].terms) | set(seqs[1].terms[:-1])
     lam = next(k for k in range(2, 25) if k % 5 and pow(k, -1, 25) * v % 25 not in earlier)
     phi = [int(u == v) for u in range(25)]
-    got = analysis._scaled_uniform_scan(seqs, phi, lam, 1)
+    got = analysis._scaled_uniform_scan(f, seqs, phi, lam, 1)
     assert got == ({"state": [2], "t": 3, "s": 1}, 8)
     assert got == scaled_uniform_scan_per_term(seqs, phi, lam, 1)
+
+
+def _first_hits(reps):
+    """By value, the positions the full scan over reps has read when it
+    first meets that value."""
+    hits, read = {}, 0
+    for rep in reps:
+        for t, v in enumerate(rep.terms):
+            hits.setdefault(v, read + t + 1)
+        read += rep.period
+    return hits
+
+
+def _unread():
+    pytest.fail("the reps were read for an s the table settles")
+    yield
+
+
+@pytest.mark.parametrize("p, e, coeffs", [
+    (7, 2, None),        # None: the first strongly primitive f of degree 2
+    (3, 3, None),
+    (5, 2, (18, 1)),     # a(t+1) = 7 a(t): 5 classes of period 4
+    (3, 2, (1, 0, 1)),   # x^2 + 1: short classes of every state
+])
+def test_scaled_uniform_scan_walks_to_a_late_split(p, e, coeffs):
+    ctx = RingContext(p, e)
+    m = ctx.modulus
+    f = RingPolynomial(ctx, coeffs) if coeffs else find_primitive(ctx, 2, strongly=True).f
+    reps, _ = shift_classes(f)
+    hits = _first_hits(reps)
+    # phi hits s = 1 only at v, so exactly v and v / lam split: take the
+    # pair the full scan meets last
+    first, v, lam = max((min(hits[v], hits[pow(lam, -1, m) * v % m]), v, lam)
+                        for v in hits for lam in range(2, m) if lam % p and lam * v % m != v)
+    phi = [int(u == v) for u in range(m)]
+    read = []
+    walk = (read.append(rep) or rep for rep in analysis._class_walk(f))
+    got = analysis._scaled_uniform_scan(f, walk, phi, lam, 1)
+    assert got == scaled_uniform_scan_per_term(reps, phi, lam, 1)
+    assert got[0] is not None and got[1] == first
+    # the walk read the classes up to the witness's and stopped there
+    assert read == reps[:len(read)]
+    assert sum(r.period for r in read[:-1]) < first <= sum(r.period for r in read)
+    if coeffs == (18, 1):
+        assert len(read) > 1
+
+
+@pytest.mark.parametrize("p, e", [(5, 2), (3, 3)])
+def test_scaled_uniform_scan_at_degree_one_reaches_only_units(p, e):
+    ctx = RingContext(p, e)
+    m = ctx.modulus
+    f = find_primitive(ctx, 1).f
+    reps, walked = shift_classes(f)
+    assert walked == m - m // p
+    # phi hits s = 1 only at the non-unit p: p and p / lam split, and no
+    # sequence from a unit reaches either, so the table settles s
+    phi = [int(v == p) for v in range(m)]
+    for lam in range(2, m):
+        if lam % p:
+            got = analysis._scaled_uniform_scan(f, _unread(), phi, lam, 1)
+            assert got == (None, walked) == scaled_uniform_scan_per_term(reps, phi, lam, 1)
+    # at a unit it splits, and the walk finds the per-term scan's witness
+    phi = [int(v == p + 1) for v in range(m)]
+    for lam in range(2, m):
+        if lam % p and lam * (p + 1) % m != p + 1:
+            got = analysis._scaled_uniform_scan(f, iter(reps), phi, lam, 1)
+            assert got[0] is not None
+            assert got == scaled_uniform_scan_per_term(reps, phi, lam, 1)
 
 
 def test_count_uniform_s_needs_strong():
