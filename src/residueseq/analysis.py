@@ -254,6 +254,20 @@ def _state_count(f: RingPolynomial, primitive: bool = True) -> int:
     return m**n - (m // f.ctx.p) ** n if primitive else m**n
 
 
+def _sample_primitive_states(ctx: RingContext, n: int, count: int, rng: random.Random):
+    """count distinct primitive states of length n over ctx, drawn by rng
+    and listed in order of first draw; all p^(en) - p^((e-1)n) of them
+    when count is larger. The recurrence suite and a sampled thm9 count
+    draw their states here."""
+    count = min(count, ctx.modulus**n - (ctx.modulus // ctx.p) ** n)
+    states = {}  # in order of first draw
+    while len(states) < count:
+        state = tuple(rng.randrange(ctx.modulus) for _ in range(n))
+        if any(v % ctx.p for v in state):
+            states[state] = None
+    return list(states)
+
+
 def shift_classes(f: RingPolynomial, primitive: bool = True):
     """Shift-class representatives of the sequences of f started from every
     primitive initial state (nonzero mod p), or from every state.
@@ -261,37 +275,23 @@ def shift_classes(f: RingPolynomial, primitive: bool = True):
     Returns (reps, walked): reps in lex order of their initial state, each
     the least state of its class, and walked the number of states the
     walk covers, _state_count(f, primitive). Verdicts of rotation-invariant
-    checks carry over from the rep to the whole class. _slots adds random
+    checks carry over from the rep to the whole class. _atlas adds random
     access to the states.
     """
     return list(_class_walk(f, primitive)), _state_count(f, primitive)
 
 
-def _lazy_classes(f: RingPolynomial):
-    """_class_walk(f) behind a tee that is never advanced: it keeps every rep
-    a copy has read, so each copy reads the reps from the first and walks
-    on only past those read before."""
-    return itertools.tee(_class_walk(f), 1)[0]
-
-
-def _slots(reps) -> array:
-    """For the states of the classes of reps in lex order, the place of
-    each in the periods of reps laid end to end: ci * L + offset when every
-    period is L."""
-    f = reps[0].f
+@functools.lru_cache(maxsize=2)
+def _atlas(f: RingPolynomial, primitive: bool = True):
+    """(reps, slots) for shift_classes(f, primitive): slots gives the states
+    in lex order, each by its place in the periods of reps laid end to end,
+    ci * L + offset when every period is L. Random access to the states,
+    cached and bounded for the cells that share f; read-only."""
+    reps, _ = shift_classes(f, primitive)
     where = array("q", [-1]) * f.ctx.modulus**f.degree
     for i, c in enumerate(itertools.chain.from_iterable(map(_state_codes, reps))):
         where[c] = i
-    return array("q", (i for i in where if i >= 0))
-
-
-@functools.lru_cache(maxsize=2)
-def _atlas(f: RingPolynomial, primitive: bool = True):
-    """(reps, _slots(reps)) for shift_classes(f, primitive): random access
-    to the states, cached and bounded for the cells that share f;
-    read-only."""
-    reps, _ = shift_classes(f, primitive)
-    return tuple(reps), _slots(reps)
+    return tuple(reps), array("q", (i for i in where if i >= 0))
 
 
 @functools.lru_cache(maxsize=2)
@@ -518,8 +518,10 @@ def count_uniform_s(
     over its table of p^e split flags, and for a failing s a walk of the
     shift classes to its first disagreement, shared across s. The budget
     prices p^e entries per s plus the positions the failing walks read;
-    once the running total would pass it, the scan samples
-    max(1, budget // (period * p)) seeded states instead.
+    once the running total would pass it, the scan instead draws
+    max(1, budget // (period * p)) seeded primitive states as the
+    recurrence suite does, reads them in lex order and generates each
+    once, so it walks no class.
     """
     ctx = cert.f.ctx
     p = ctx.p
@@ -532,7 +534,9 @@ def count_uniform_s(
     img = set(phi)
     scan = [s for s in range(p) if s in img]
 
-    classes = _lazy_classes(cert.f)
+    # a tee that is never advanced keeps every rep a copy has read: the
+    # failing s share one class walk, each reading it from the first rep
+    classes = itertools.tee(_class_walk(cert.f), 1)[0]
     verdicts: dict[int, tuple] = {}
     spent = 0
     for s in scan:
@@ -549,12 +553,11 @@ def count_uniform_s(
     pairs = _state_count(cert.f)
     sampled = len(verdicts) < len(scan)
     if sampled:
-        reps = list(classes)
-        period = reps[0].period
-        slots = _slots(reps)
-        # a sample of the lex-ordered states draws by their number alone
-        drawn = sorted(random.Random(seed).sample(range(len(slots)), max(1, budget // (period * p))))
-        seqs = [reps[ci].shifted(off) for ci, off in (divmod(slots[i], period) for i in drawn)]
+        # every primitive state has period cert.period; in lex order, the
+        # witness of s is its first failing state drawn
+        states = sorted(_sample_primitive_states(
+            ctx, cert.n, max(1, budget // (cert.period * p)), random.Random(seed)))
+        seqs = [generate(cert.f, state) for state in states]
         pairs = len(seqs)
         verdicts = {s: _first_split(seqs, _split_values(phi, lam, s), s) for s in scan}
 
@@ -625,17 +628,6 @@ def _generator(ctx: RingContext, n: int, strongly: bool = False) -> PrimitivityC
     if cert is None:
         raise InvalidInputError(f"no qualifying polynomial for p={ctx.p}, e={ctx.e}, n={n}")
     return cert
-
-
-def _sample_primitive_states(ctx: RingContext, n: int, count: int, rng: random.Random):
-    # there are p^(en) - p^((e-1)n) primitive states; draw all of them if fewer
-    count = min(count, ctx.modulus**n - (ctx.modulus // ctx.p) ** n)
-    states = {}  # in order of first draw
-    while len(states) < count:
-        state = tuple(rng.randrange(ctx.modulus) for _ in range(n))
-        if any(v % ctx.p for v in state):
-            states[state] = None
-    return list(states)
 
 
 def _recurrence_failure(seqs, cert, p, e):
@@ -1022,12 +1014,12 @@ def suite_thm7(ps=(3, 5), e: int = 2, n: int = 2) -> list[UniformityReport]:
                     {"positions": 2, "pairs": 0}, False, 0, started)
         )
 
-        classes, walked = _lazy_classes(cert.f), _state_count(cert.f)
+        walked = _state_count(cert.f)
         for s in range(p):
             started = time.perf_counter()
             m = construct_thm7(g, s, e)
             witness, positions = _scaled_uniform_scan(
-                cert.f, copy.copy(classes), value_table(m, ctx), ctx.modulus - 1, s)
+                cert.f, _class_walk(cert.f), value_table(m, ctx), ctx.modulus - 1, s)
             params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x",
                       "s": s, "eta": format_multipoly(m.eta)}
             counts = {"positions": positions, "pairs": walked}
@@ -1055,7 +1047,7 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
                     {"positions": 1, "pairs": 0}, False, 0, started)
         )
 
-        classes, walked = _lazy_classes(cert.f), _state_count(cert.f)
+        walked = _state_count(cert.f)
         for s in range(p):
             started = time.perf_counter()
             m = construct_thm8(g, s, lam, 0, e)
@@ -1066,7 +1058,7 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
                 )
                 continue
             witness, positions = _scaled_uniform_scan(
-                cert.f, copy.copy(classes), value_table(m, ctx), ctx.modulus - 1, s)
+                cert.f, _class_walk(cert.f), value_table(m, ctx), ctx.modulus - 1, s)
             params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x^2",
                       "s": s, "lambda": lam, "eta": format_multipoly(m.eta)}
             counts = {"positions": positions, "pairs": walked}

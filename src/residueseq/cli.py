@@ -292,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
         verify.add_argument(flag, type=kind, help=help_text)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--budget", type=positive_int,
-                        help="work budget: 64-bit mask words for alpha-k, positions "
-                             f"for thm9; over it they sample (or ${BUDGET_ENV})")
+                        help="work budget: 64-bit mask words for alpha-k; for thm9, "
+                             "p^e table entries per s plus the positions its failing "
+                             f"walks read; over it they sample (or ${BUDGET_ENV})")
     verify.add_argument("--format", choices=("json", "csv", "text"), default="json")
     verify.add_argument("--timing", action="store_true",
                         help="include wall-time in reports (breaks byte determinism)")

@@ -109,7 +109,7 @@ def from_table(p: int, arity: int, values) -> MultivariatePoly:
                 fn = interpolate(values[line], p)
                 values[line] = [fn.coeff(k) for k in range(p)]
     exponents = itertools.product(range(p), repeat=arity)
-    return MultivariatePoly(p, arity, dict(zip(exponents, values)))
+    return MultivariatePoly(p, arity, {k: c for k, c in zip(exponents, values) if c})
 
 
 def psi_zw(p: int, e: int, z: int, w: int) -> MultivariatePoly:

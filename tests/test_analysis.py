@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import itertools
 import random
@@ -473,20 +472,39 @@ def test_count_uniform_s_sampled():
     assert uc.sampled
     uc2 = count_uniform_s(cert, m, ctx.modulus - 1, budget=100, seed=1)
     assert uc == uc2
-    # the draws are pinned: random.sample sees the primitive states as a
-    # lex-ordered population, whatever the state walk keeps internally
+    # the draws are pinned: max(1, 100 // (120 * 5)) = 1 state, drawn by the
+    # recurrence suite's sampler and read in lex order
     assert uc == analysis.UniformCount(
         holding=(0, 4), vacuous=(),
-        failing={1: {"state": [5, 22], "t": 2, "s": 1}, 2: {"state": [5, 22], "t": 1, "s": 2},
-                 3: {"state": [5, 22], "t": 1, "s": 3}},
-        pairs=1, positions=247, sampled=True, seed=1)
+        failing={1: {"state": [4, 18], "t": 1, "s": 1}, 2: {"state": [4, 18], "t": 0, "s": 2},
+                 3: {"state": [4, 18], "t": 0, "s": 3}},
+        pairs=1, positions=244, sampled=True, seed=1)
+    assert sorted(analysis._sample_primitive_states(ctx, 2, 1, random.Random(1)))[0] == (4, 18)
     # 57 leaves 7 positions for the walk of s = 1, which reads 8
     uc = count_uniform_s(cert, m, ctx.modulus - 1, budget=57, seed=2)
     assert uc == analysis.UniformCount(
         holding=(0, 4), vacuous=(),
-        failing={1: {"state": [2, 12], "t": 2, "s": 1}, 2: {"state": [2, 12], "t": 0, "s": 2},
-                 3: {"state": [2, 12], "t": 0, "s": 3}},
-        pairs=1, positions=245, sampled=True, seed=2)
+        failing={1: {"state": [1, 2], "t": 4, "s": 1}, 2: {"state": [1, 2], "t": 0, "s": 2},
+                 3: {"state": [1, 2], "t": 0, "s": 3}},
+        pairs=1, positions=247, sampled=True, seed=2)
+    assert sorted(analysis._sample_primitive_states(ctx, 2, 1, random.Random(2)))[0] == (1, 2)
+
+
+def test_count_uniform_s_sampled_walks_no_class():
+    # the thm9 map at p = 31 over budget: the sample draws one state and
+    # generates it, with no walk of the 922,560 primitive states or an
+    # index over them
+    ctx = RingContext(31, 2)
+    cert = find_primitive(ctx, 2, strongly=True)
+    m = CompressingMap(g=UnivariateFn(31, (0, 0, 1)), eta=psi_zw(31, 2, 0, thm9_choose_w(31)), e=2)
+    tracemalloc.start()
+    try:
+        uc = count_uniform_s(cert, m, ctx.modulus - 1, budget=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert uc.sampled and uc.pairs == 1
+    assert peak < 8 * 2**20
 
 
 def test_count_uniform_s_budget_prices_tables_and_failing_walks():
@@ -510,7 +528,6 @@ def test_scaled_uniform_scan_matches_the_per_term_loop(p):
     m = ctx.modulus
     f = find_primitive(ctx, 2, strongly=True).f
     reps, _ = shift_classes(f)
-    classes = analysis._lazy_classes(f)
     rng = random.Random(p)
     # random tables over a small and a full alphabet, and a constant table
     tables = [[rng.randrange(k) for _ in range(m)] for k in (2, p) for _ in range(3)]
@@ -520,7 +537,7 @@ def test_scaled_uniform_scan_matches_the_per_term_loop(p):
             if lam % p == 0:
                 continue
             for s in range(p):
-                got = analysis._scaled_uniform_scan(f, copy.copy(classes), phi, lam, s)
+                got = analysis._scaled_uniform_scan(f, analysis._class_walk(f), phi, lam, s)
                 assert got == scaled_uniform_scan_per_term(reps, phi, lam, s)
                 if lam == 1 or len(set(phi)) == 1:
                     assert got == (None, sum(r.period for r in reps))
