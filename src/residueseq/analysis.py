@@ -246,6 +246,50 @@ def _class_walk(f: RingPolynomial, primitive: bool = True):
         code = seen.find(0, code)
 
 
+@functools.lru_cache(maxsize=4)
+def _fibers(p: int, e: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """By layer i < e, the fiber of states congruent to p^i * (0, ..., 0, 1)
+    mod p^(i+1), in lex order: p^((e-1-i)n) states, shared by the generators
+    of one ring; bounded, read-only."""
+    m, layers = p**e, []
+    for i in range(e):
+        step = p ** (i + 1)  # entries p^i * (c + p*t), t < p^(e-1-i), c the entry of u
+        layers.append(tuple(itertools.product(
+            *[range(0, m, step)] * (n - 1), range(p**i, m, step))))
+    return tuple(layers)
+
+
+def _fiber_classes(f: RingPolynomial, t_u: int):
+    """Every shift class of f over all states, each once and started at
+    some member, or None when they miss a state; t_u is the period of the
+    sequence of f mod p from u = (0, ..., 0, 1).
+
+    A class of layer i holds states p^i * s' with s' nonzero mod p. When
+    s' mod p lies on the cycle of f mod p through u, the class meets the
+    fiber p^i * u mod p^(i+1) exactly at the offsets k * t_u from a fiber
+    state in it. So one walk of each fiber, generating from each fiber
+    state no earlier class has met, lists those classes once each. With
+    the zero state's class they cover every state exactly when their
+    periods sum to p^(en), as they do when f mod p is primitive.
+    """
+    n = f.degree
+    classes = [generate(f, (0,) * n)]
+    for fiber in _fibers(f.ctx.p, f.ctx.e, n):
+        left = set(fiber)
+        for start in fiber:
+            if start not in left:
+                continue
+            s = generate(f, start)
+            # the states at offsets k * t_u, entry j read from every t_u-th term
+            met = set(zip(*(s.terms[j::t_u] for j in range(n))))
+            if not met <= left:
+                raise RuntimeError(f"the sequence of {f} from {start} misses its fiber states: "
+                                   f"it meets {min(met - left)} at an offset k * {t_u}")
+            left -= met
+            classes.append(s)
+    return classes if sum(s.period for s in classes) == f.ctx.modulus**n else None
+
+
 def _state_count(f: RingPolynomial, primitive: bool = True) -> int:
     """The states _class_walk(f, primitive) covers: m^n - (m/p)^n primitive
     states, or all m^n. f(0) is a unit, so every state lies on a cycle and
@@ -682,6 +726,32 @@ def _level0_periods(fp: RingPolynomial) -> tuple[int, ...]:
     return tuple(periods)
 
 
+def _class_period_failure(seq: LRSequence, level0, T: int):
+    """How the shift class of seq breaks the period laws, as the witness
+    fields after f, or None. Its period, its level-0 period (read from
+    level0 by the state mod p) and its level periods do not change under
+    rotation, so every member of the class gives the same verdict."""
+    p, e = seq.f.ctx.p, seq.f.ctx.e
+    low = [v % p for v in seq.initial_state]
+    levels = [level(seq, i) for i in range(1, e)]
+    if any(low):
+        lowest = 0
+    else:
+        lowest = next((i for i, lvl in enumerate(levels, 1) if not lvl.is_zero()), None)
+    expected = 1 if lowest is None else p ** (e - 1 - lowest) * T
+    if seq.period != expected:
+        return {"state": list(seq.initial_state), "period": seq.period, "expected": expected}
+    if lowest != 0:
+        return None
+    periods = [level0[functools.reduce(lambda c, v: c * p + v, low)]]
+    periods += [lvl.period for lvl in levels]
+    for i, period in enumerate(periods):
+        if period != p**i * T:
+            return {"state": list(seq.initial_state), "level": i,
+                    "period": period, "expected": p**i * T}
+    return None
+
+
 def _period_failure(ctx: RingContext, n: int):
     """First shift class of a primitive f of degree n, over all states,
     whose period or level periods break the period laws, as (witness or
@@ -689,33 +759,28 @@ def _period_failure(ctx: RingContext, n: int):
 
     Level 0 of the sequence of f from s is the sequence of f mod p from
     s mod p: its period comes from _level0_periods, and it is zero exactly
-    when s is zero mod p."""
-    p, e = ctx.p, ctx.e
-    T = p**n - 1
+    when s is zero mod p. A generator is settled by its classes from
+    _fiber_classes, each checked once from the member it starts at: the
+    verdicts do not change under rotation, so when every class holds, f
+    adds its class count. At the first failing class, or when the fibers
+    miss a state, the lex walk of shift_classes replays the check from
+    each rep, which gives the least failing state as the witness and the
+    classes checked up to it."""
+    T = ctx.p**n - 1
     orbits = generators = 0
     for f in iter_primitive(ctx, n):
         generators += 1
         level0 = _level0_periods(reduce_mod_p(f))
+        classes = _fiber_classes(f, level0[1])
+        if classes is not None and not any(
+                _class_period_failure(seq, level0, T) for seq in classes):
+            orbits += len(classes)
+            continue
         for seq in shift_classes(f, primitive=False)[0]:
             orbits += 1
-            low = [v % p for v in seq.initial_state]
-            levels = [level(seq, i) for i in range(1, e)]
-            if any(low):
-                lowest = 0
-            else:
-                lowest = next((i for i, lvl in enumerate(levels, 1) if not lvl.is_zero()), None)
-            expected = 1 if lowest is None else p ** (e - 1 - lowest) * T
-            if seq.period != expected:
-                return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state),
-                         "period": seq.period, "expected": expected}, orbits, generators)
-            if lowest != 0:
-                continue
-            code = functools.reduce(lambda c, v: c * p + v, low)
-            periods = [level0[code]] + [lvl.period for lvl in levels]
-            for i, period in enumerate(periods):
-                if period != p**i * T:
-                    return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state), "level": i,
-                             "period": period, "expected": p**i * T}, orbits, generators)
+            failure = _class_period_failure(seq, level0, T)
+            if failure is not None:
+                return {"f": _fmt_coeffs(f), **failure}, orbits, generators
     return None, orbits, generators
 
 

@@ -75,9 +75,10 @@ def _primes(length: int) -> tuple[int, ...]:
 
 
 def least_period(values) -> int:
-    """Smallest cyclic period of a list known to repeat with its length, by prime
-    descent: exact, as the periods dividing the length are the least one's multiples."""
-    if not isinstance(values, list):
+    """Smallest cyclic period of a list or bytes known to repeat with its length,
+    by prime descent: exact, as the periods dividing the length are the least
+    one's multiples."""
+    if not isinstance(values, (list, bytes)):
         values = list(values)
     length = d = len(values)
     for q in _primes(length):
@@ -87,7 +88,7 @@ def least_period(values) -> int:
 
 
 def level_sequence(p: int, values) -> LevelSequence:
-    if not isinstance(values, list):
+    if not isinstance(values, (list, bytes)):
         values = list(values)
     d = least_period(values)
     return LevelSequence(p=p, terms=tuple(values[:d]), period=d)
@@ -204,18 +205,24 @@ def generate(f: RingPolynomial, init) -> LRSequence:
 
 
 @functools.lru_cache(maxsize=8)
-def _digits(p: int, e: int, i: int) -> tuple[int, ...]:
-    # digit i of every residue mod p^e, for the level streams of one ring
+def _digits(p: int, e: int, i: int) -> bytes | tuple[int, ...]:
+    # digit i of every residue mod p^e, for the level streams of one ring: a
+    # 256-byte translate table when every residue fits a byte, else a tuple
     q = p**i
-    return tuple(v // q % p for v in range(p**e))
+    digits = tuple(v // q % p for v in range(p**e))
+    return bytes(digits).ljust(256, b"\0") if p**e <= 256 else digits
 
 
 def level(s: LRSequence, i: int) -> LevelSequence:
-    """The i-th base-p digit stream of s, reduced to its least period."""
+    """The i-th base-p digit stream of s, reduced to its least period: one
+    bytes.translate of the terms when p^e <= 256, else a table lookup per term."""
     ctx = s.f.ctx
     if not 0 <= i < ctx.e:
         raise InvalidInputError(f"level index must be in [0, {ctx.e}), got {i}")
-    return level_sequence(ctx.p, list(map(_digits(ctx.p, ctx.e, i).__getitem__, s.terms)))
+    table = _digits(ctx.p, ctx.e, i)
+    if isinstance(table, bytes):
+        return level_sequence(ctx.p, bytes(s.terms).translate(table))
+    return level_sequence(ctx.p, list(map(table.__getitem__, s.terms)))
 
 
 def _check_same_generator(s: LRSequence, cert: PrimitivityCertificate) -> None:

@@ -16,7 +16,7 @@ from oracles import (
 from test_forced_failures import INJECTIONS, _constant_level, _top_level_plus_one
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn
-from residueseq.polyring import RingPolynomial
+from residueseq.polyring import RingPolynomial, reduce_mod_p
 from residueseq.primitivity import certify, find_primitive, iter_primitive
 from residueseq.sequences import generate, level_sequence
 from residueseq.compress import (
@@ -158,6 +158,39 @@ def test_shift_classes_matches_the_dict_walk(f, primitive):
     assert analysis._atlas(f, primitive)[0] == tuple(reps)
     assert list(analysis._atlas(f, primitive)[1]) == [
         starts[ci] + off for ci, off in (index[st] for st in sorted(index))]
+
+
+def _fiber_classes(f):
+    return analysis._fiber_classes(f, analysis._level0_periods(reduce_mod_p(f))[1])
+
+
+def _lex_sorted(classes):
+    """Each class rotated to its least state, in lex order of that state."""
+    least = [s.shifted(min(range(s.period), key=s.state_at)) for s in classes]
+    return sorted(least, key=lambda s: s.initial_state)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 2, 2), (3, 3, 2), (5, 2, 2), (3, 2, 3)])
+def test_fiber_classes_are_the_lex_walk_classes(p, e, n):
+    # the classes from the fibers, each started at some member, are the reps
+    # of the lex walk once rotated to their least states
+    for f in itertools.islice(iter_primitive(RingContext(p, e), n), 3):
+        assert _lex_sorted(_fiber_classes(f)) == shift_classes(f, primitive=False)[0]
+
+
+@pytest.mark.parametrize("f,covers", [
+    # x - 7 over Z/25: 2 generates the units mod 5, so the cycle through u
+    # is every nonzero state mod 5 and the fibers meet every class
+    (RingPolynomial(RingContext(5, 2), (18, 1)), True),
+    # x^2 + 1 over Z/27: the cycle through (0, 1) mod 3 has 4 of the 8
+    # nonzero states, so the fibers miss every class through the other 4
+    (RingPolynomial(RingContext(3, 3), (1, 0, 1)), False),
+])
+def test_fiber_classes_of_a_non_primitive_f_are_the_lex_walk_classes_or_none(f, covers):
+    classes = _fiber_classes(f)
+    assert (classes is not None) == covers
+    if covers:
+        assert _lex_sorted(classes) == shift_classes(f, primitive=False)[0]
 
 
 def test_equal_at_alpha_k():
@@ -689,9 +722,11 @@ def test_period_failure_matches_the_every_level_oracle(p, e, n):
 
 @pytest.mark.parametrize("fake", [_top_level_plus_one, _constant_level])
 def test_period_failure_matches_the_oracle_under_forced_level_failures(monkeypatch, fake):
-    # the injections touch levels e-1 and 1 only, which both still build by `level`
-    for e in (2, 3):
-        ctx = RingContext(3, e)
+    # the injections touch levels e-1 and 1 only, which both still build by
+    # `level`. At p = 5 and 7 most fiber starts are not reps, so a failing
+    # generator must be replayed by the lex walk to give the oracle's witness
+    for p, e in ((3, 2), (3, 3), (5, 2), (7, 2)):
+        ctx = RingContext(p, e)
         with monkeypatch.context() as m:
             m.setattr(analysis, "level", fake)
             m.setattr(oracles, "level", fake)
@@ -732,6 +767,31 @@ def test_shift_classes_raises_when_a_sequence_misses_its_start(monkeypatch, f):
     monkeypatch.setattr(analysis, "generate", rotated)
     with pytest.raises(RuntimeError, match="misses its start"):
         shift_classes(f)
+
+
+@pytest.mark.parametrize("f", [
+    RingPolynomial(Z9, (2, 1, 1)),
+    RingPolynomial(Z9, (1, 0, 2, 1)),
+    RingPolynomial(RingContext(5, 2), (2, 1, 1)),
+])
+def test_fiber_classes_raise_when_a_sequence_misses_its_start(monkeypatch, f):
+    # generate answering from the state rotated by one slot: the fiber walk
+    # meets a state outside the fiber where the start should be
+    m, n = f.ctx.modulus, f.degree
+    t_u = analysis._level0_periods(reduce_mod_p(f))[1]
+    calls = 0
+
+    def rotated(f, init):
+        nonlocal calls
+        calls += 1
+        if calls > 2 * m**n:
+            pytest.fail("the fiber walk kept walking past 2 m^n sequences")
+        init = tuple(init)
+        return generate(f, init[1:] + init[:1])
+
+    monkeypatch.setattr(analysis, "generate", rotated)
+    with pytest.raises(RuntimeError, match="misses its fiber states"):
+        analysis._fiber_classes(f, t_u)
 
 
 # each pair walker law, the per-pair scan it replaced, and the ring exponent

@@ -19,6 +19,7 @@ from residueseq.polyring import RingPolynomial, with_exponent
 from residueseq.primitivity import certify, find_primitive, iter_primitive
 from residueseq.sequences import (
     _basis,
+    _digits,
     alpha_sequence,
     dump_rows,
     generate,
@@ -26,6 +27,7 @@ from residueseq.sequences import (
     is_primitive_sequence,
     least_period,
     level,
+    level_sequence,
 )
 
 Z9 = RingContext(3, 2)
@@ -184,7 +186,8 @@ def test_least_period_matches_the_divisor_scan(length):
         assert least_period(values) == least_period_divisor_scan(values), values
 
 
-@pytest.mark.parametrize("p,e,n", [(3, 3, 2), (7, 2, 2), (17, 2, 2)])
+# 3^5 = 243 translates the terms as bytes, 17^2 = 289 reads a table per term
+@pytest.mark.parametrize("p,e,n", [(3, 3, 2), (7, 2, 2), (17, 2, 2), (3, 5, 2)])
 def test_level_matches_the_digit_comprehension(p, e, n):
     ctx = RingContext(p, e)
     f = _first_primitive(p, e, n)
@@ -192,6 +195,7 @@ def test_level_matches_the_digit_comprehension(p, e, n):
     rng = random.Random(p * 100 + e)
     states = [(0,) * n, (1,) + (0,) * (n - 1), (p,) + (0,) * (n - 1), (m - 1,) * n]
     states += [tuple(rng.randrange(m) for _ in range(n)) for _ in range(3)]
+    assert isinstance(_digits(p, e, 0), bytes) == (m <= 256)
     for state in states:
         s = generate(f, state)
         for i in range(e):
@@ -199,6 +203,7 @@ def test_level_matches_the_digit_comprehension(p, e, n):
             d = least_period_divisor_scan(digits)
             lvl = level(s, i)
             assert (lvl.p, lvl.terms, lvl.period) == (p, tuple(digits[:d]), d)
+            assert lvl == level_sequence(p, [v // p**i % p for v in s.terms])
 
 
 def test_levels():
