@@ -261,8 +261,8 @@ def _fibers(p: int, e: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def _fiber_classes(f: RingPolynomial, t_u: int):
     """Every shift class of f over all states, each once and started at
-    some member, or None when they miss a state; t_u is the period of the
-    sequence of f mod p from u = (0, ..., 0, 1).
+    some member; t_u is the period of the sequence of f mod p from
+    u = (0, ..., 0, 1). Raises RuntimeError when they miss a state.
 
     A class of layer i holds states p^i * s' with s' nonzero mod p. When
     s' mod p lies on the cycle of f mod p through u, the class meets the
@@ -287,7 +287,10 @@ def _fiber_classes(f: RingPolynomial, t_u: int):
                                    f"it meets {min(met - left)} at an offset k * {t_u}")
             left -= met
             classes.append(s)
-    return classes if sum(s.period for s in classes) == f.ctx.modulus**n else None
+    covered = sum(s.period for s in classes)
+    if covered != f.ctx.modulus**n:
+        raise RuntimeError(f"the fiber classes of {f} cover {covered} of {f.ctx.modulus**n} states")
+    return classes
 
 
 def _state_count(f: RingPolynomial, primitive: bool = True) -> int:
@@ -715,26 +718,22 @@ def suite_recurrence(
 
 
 @functools.lru_cache(maxsize=64)
-def _level0_periods(fp: RingPolynomial) -> tuple[int, ...]:
-    """By state code over Z/p, the least period of the sequence of fp from
-    that state: one walk per shift class of fp, shared by every lift of the
-    residue fp; bounded, read-only."""
-    periods = [0] * fp.ctx.modulus**fp.degree
-    for rep in shift_classes(fp, primitive=False)[0]:
-        for c in _state_codes(rep):
-            periods[c] = rep.period
-    return tuple(periods)
+def _level0_period(fp: RingPolynomial) -> int:
+    """The least period of the sequence of fp over Z/p from (0, ..., 0, 1):
+    for a primitive fp every nonzero state lies on that one cycle, so it is
+    the level-0 period of every state nonzero mod p. One generate per
+    residue, shared by every lift of fp; bounded."""
+    return generate(fp, (0,) * (fp.degree - 1) + (1,)).period
 
 
-def _class_period_failure(seq: LRSequence, level0, T: int):
+def _class_period_failure(seq: LRSequence, t_u: int, T: int):
     """How the shift class of seq breaks the period laws, as the witness
-    fields after f, or None. Its period, its level-0 period (read from
-    level0 by the state mod p) and its level periods do not change under
-    rotation, so every member of the class gives the same verdict."""
+    fields after f, or None; t_u is the level-0 period of a state nonzero
+    mod p. Its period and its level periods do not change under rotation,
+    so every member of the class gives the same verdict."""
     p, e = seq.f.ctx.p, seq.f.ctx.e
-    low = [v % p for v in seq.initial_state]
     levels = [level(seq, i) for i in range(1, e)]
-    if any(low):
+    if any(v % p for v in seq.initial_state):
         lowest = 0
     else:
         lowest = next((i for i, lvl in enumerate(levels, 1) if not lvl.is_zero()), None)
@@ -743,9 +742,7 @@ def _class_period_failure(seq: LRSequence, level0, T: int):
         return {"state": list(seq.initial_state), "period": seq.period, "expected": expected}
     if lowest != 0:
         return None
-    periods = [level0[functools.reduce(lambda c, v: c * p + v, low)]]
-    periods += [lvl.period for lvl in levels]
-    for i, period in enumerate(periods):
+    for i, period in enumerate([t_u] + [lvl.period for lvl in levels]):
         if period != p**i * T:
             return {"state": list(seq.initial_state), "level": i,
                     "period": period, "expected": p**i * T}
@@ -758,27 +755,30 @@ def _period_failure(ctx: RingContext, n: int):
     None, classes checked, generators reached).
 
     Level 0 of the sequence of f from s is the sequence of f mod p from
-    s mod p: its period comes from _level0_periods, and it is zero exactly
-    when s is zero mod p. A generator is settled by its classes from
-    _fiber_classes, each checked once from the member it starts at: the
-    verdicts do not change under rotation, so when every class holds, f
-    adds its class count. At the first failing class, or when the fibers
-    miss a state, the lex walk of shift_classes replays the check from
-    each rep, which gives the least failing state as the witness and the
-    classes checked up to it."""
+    s mod p: it is zero exactly when s is zero mod p, and otherwise its
+    period is _level0_period of f mod p. A generator is settled by its
+    classes from _fiber_classes, each checked from the member it starts
+    at: the verdicts do not change under rotation, so when every class
+    holds, f adds its class count. When one fails, the classes are
+    rotated to their least states and checked again in lex order, which
+    gives the least failing state as the witness and the classes checked
+    up to it, as a walk of the classes in lex order would."""
     T = ctx.p**n - 1
     orbits = generators = 0
     for f in iter_primitive(ctx, n):
         generators += 1
-        level0 = _level0_periods(reduce_mod_p(f))
-        classes = _fiber_classes(f, level0[1])
-        if classes is not None and not any(
-                _class_period_failure(seq, level0, T) for seq in classes):
+        t_u = _level0_period(reduce_mod_p(f))
+        classes = _fiber_classes(f, t_u)
+        if not any(_class_period_failure(seq, t_u, T) for seq in classes):
             orbits += len(classes)
             continue
-        for seq in shift_classes(f, primitive=False)[0]:
+        reps = []  # each class rotated to its least state
+        for s in classes:
+            codes = list(_state_codes(s))
+            reps.append(s.shifted(codes.index(min(codes))))
+        for seq in sorted(reps, key=lambda s: s.initial_state):
             orbits += 1
-            failure = _class_period_failure(seq, level0, T)
+            failure = _class_period_failure(seq, t_u, T)
             if failure is not None:
                 return {"f": _fmt_coeffs(f), **failure}, orbits, generators
     return None, orbits, generators

@@ -46,11 +46,6 @@ class MultivariatePoly:
             self, "coeffs", {k: v for k, v in sorted(clean.items()) if v}
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultivariatePoly):
-            return NotImplemented
-        return (self.p, self.arity, self.coeffs) == (other.p, other.arity, other.coeffs)
-
     def __hash__(self):
         return hash((self.p, self.arity, tuple(self.coeffs.items())))
 

@@ -78,8 +78,6 @@ def least_period(values) -> int:
     """Smallest cyclic period of a list or bytes known to repeat with its length,
     by prime descent: exact, as the periods dividing the length are the least
     one's multiples."""
-    if not isinstance(values, (list, bytes)):
-        values = list(values)
     length = d = len(values)
     for q in _primes(length):
         while d % q == 0 and values[d // q:] == values[:length - d // q]:

@@ -161,7 +161,7 @@ def test_shift_classes_matches_the_dict_walk(f, primitive):
 
 
 def _fiber_classes(f):
-    return analysis._fiber_classes(f, analysis._level0_periods(reduce_mod_p(f))[1])
+    return analysis._fiber_classes(f, analysis._level0_period(reduce_mod_p(f)))
 
 
 def _lex_sorted(classes):
@@ -186,11 +186,12 @@ def test_fiber_classes_are_the_lex_walk_classes(p, e, n):
     # nonzero states, so the fibers miss every class through the other 4
     (RingPolynomial(RingContext(3, 3), (1, 0, 1)), False),
 ])
-def test_fiber_classes_of_a_non_primitive_f_are_the_lex_walk_classes_or_none(f, covers):
-    classes = _fiber_classes(f)
-    assert (classes is not None) == covers
+def test_fiber_classes_of_a_non_primitive_f_cover_or_raise(f, covers):
     if covers:
-        assert _lex_sorted(classes) == shift_classes(f, primitive=False)[0]
+        assert _lex_sorted(_fiber_classes(f)) == shift_classes(f, primitive=False)[0]
+    else:
+        with pytest.raises(RuntimeError, match="cover 365 of 729 states"):
+            _fiber_classes(f)
 
 
 def test_equal_at_alpha_k():
@@ -714,35 +715,77 @@ def test_report_shape():
     assert analysis.DEFAULT_BUDGET == 10**8
 
 
+def _period_failure_without_the_lex_walk(monkeypatch, ctx, n):
+    """_period_failure with shift_classes and _class_walk raising: the
+    period laws settle every generator from its fiber classes alone."""
+    def lex_walk(*args, **kwargs):
+        raise AssertionError("the period laws walked the states in lex order")
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "shift_classes", lex_walk)
+        m.setattr(analysis, "_class_walk", lex_walk)
+        return analysis._period_failure(ctx, n)
+
+
 @pytest.mark.parametrize("p,e,n", [(3, 2, 2), (3, 3, 2), (5, 2, 2), (7, 2, 2), (3, 2, 3)])
-def test_period_failure_matches_the_every_level_oracle(p, e, n):
+def test_period_failure_matches_the_every_level_oracle(monkeypatch, p, e, n):
     ctx = RingContext(p, e)
-    assert analysis._period_failure(ctx, n) == oracles.period_failure_all_levels(ctx, n)
+    want = oracles.period_failure_all_levels(ctx, n)
+    assert _period_failure_without_the_lex_walk(monkeypatch, ctx, n) == want
 
 
-@pytest.mark.parametrize("fake", [_top_level_plus_one, _constant_level])
+def _zero_top_level_when_divisible(s, i):
+    # the top level of a sequence with every term divisible by p reads zero,
+    # so its period breaks the law for a state of no nonzero level
+    lvl = sequences.level(s, i)
+    if i == s.f.ctx.e - 1 and not any(v % s.f.ctx.p for v in s.terms):
+        return level_sequence(lvl.p, [0])
+    return lvl
+
+
+@pytest.mark.parametrize("fake", [_top_level_plus_one, _constant_level,
+                                  _zero_top_level_when_divisible])
 def test_period_failure_matches_the_oracle_under_forced_level_failures(monkeypatch, fake):
     # the injections touch levels e-1 and 1 only, which both still build by
     # `level`. At p = 5 and 7 most fiber starts are not reps, so a failing
-    # generator must be replayed by the lex walk to give the oracle's witness
+    # generator must be checked again at its classes' least states to give
+    # the oracle's witness
     for p, e in ((3, 2), (3, 3), (5, 2), (7, 2)):
         ctx = RingContext(p, e)
         with monkeypatch.context() as m:
             m.setattr(analysis, "level", fake)
             m.setattr(oracles, "level", fake)
-            got = analysis._period_failure(ctx, 2)
             want = oracles.period_failure_all_levels(ctx, 2)
+            got = _period_failure_without_the_lex_walk(monkeypatch, ctx, 2)
         assert got == want
 
 
-def test_level0_periods_walk_once_per_residue():
+def test_a_zero_top_level_breaks_the_period_of_a_state_divisible_by_p(monkeypatch):
+    monkeypatch.setattr(analysis, "level", _zero_top_level_when_divisible)
+    assert analysis._period_failure(RingContext(3, 2), 2) == (
+        {"f": "2,1,1", "state": [0, 3], "period": 8, "expected": 1}, 4, 1)
+
+
+def test_level0_period_generates_once_per_residue():
     # the 144 primitive f of degree 2 over Z/27 reduce to the 2 primitive
-    # residues mod 3; each level-0 period table is walked once
-    analysis._level0_periods.cache_clear()
+    # residues mod 3; each level-0 period is generated once
+    analysis._level0_period.cache_clear()
     assert analysis._period_failure(RingContext(3, 3), 2) == (None, 2016, 144)
-    info = analysis._level0_periods.cache_info()
+    info = analysis._level0_period.cache_info()
     assert (info.misses, info.hits) == (2, 142)
     assert info.maxsize is not None
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_level0_period_is_the_period_of_every_nonzero_state(p, n):
+    # the per-state table that the lex walk of f mod p gives, by state code:
+    # the zero state has period 1, and every other state the one period
+    for fp in iter_primitive(RingContext(p, 1), n):
+        table = [0] * p**n
+        for rep in shift_classes(fp, primitive=False)[0]:
+            for c in analysis._state_codes(rep):
+                table[c] = rep.period
+        assert table == [1] + [analysis._level0_period(fp)] * (p**n - 1)
 
 
 @pytest.mark.parametrize("f", [
@@ -778,7 +821,7 @@ def test_fiber_classes_raise_when_a_sequence_misses_its_start(monkeypatch, f):
     # generate answering from the state rotated by one slot: the fiber walk
     # meets a state outside the fiber where the start should be
     m, n = f.ctx.modulus, f.degree
-    t_u = analysis._level0_periods(reduce_mod_p(f))[1]
+    t_u = analysis._level0_period(reduce_mod_p(f))
     calls = 0
 
     def rotated(f, init):

@@ -15,6 +15,7 @@ it on purpose with
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,13 +36,37 @@ def _key(*seqs) -> int:
     return sum((i + 1) * v for s in seqs for i, v in enumerate(s.terms))
 
 
+def _least_rotation(terms) -> int:
+    """The r at which terms[r:] + terms[:r] is least, by the two-candidate
+    scan of the doubled terms: linear in their length, and unique when
+    terms is one least period."""
+    n, doubled = len(terms), terms + terms
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
+
+
 def _joint_key(*seqs) -> int:
     """_key of the sequences at their least joint rotation: rotating them all
     by the same amount leaves it unchanged, so a law may read a pair at any
-    common rotation, such as with its first member at its class rep."""
+    common rotation, such as with its first member at its class rep. The
+    least rotation of the first sequence is unique mod its period, so only
+    its repeats within the joint period are compared on the later ones."""
+    first = seqs[0]
     span = math.lcm(*(s.period for s in seqs))
     least = min([s.terms[r % s.period:] + s.terms[:r % s.period] for s in seqs]
-                for r in range(span))
+                for r in range(_least_rotation(first.terms), span, first.period))
     return sum((i + 1) * v for terms in least for i, v in enumerate(terms))
 
 
@@ -139,6 +164,32 @@ def _first_cell_positions(report) -> int:
         p, e, n = (report["params"][k] for k in "pen")
         return p ** (e - 1) * (p**n - 1)  # one period of the first sequence
     return 1
+
+
+def _joint_key_of_every_rotation(*seqs) -> int:
+    """_joint_key by the minimum over every joint rotation, each built."""
+    span = math.lcm(*(s.period for s in seqs))
+    least = min([s.terms[r % s.period:] + s.terms[:r % s.period] for s in seqs]
+                for r in range(span))
+    return sum((i + 1) * v for terms in least for i, v in enumerate(terms))
+
+
+def test_joint_key_is_the_key_at_the_least_of_every_rotation(monkeypatch):
+    # the sequences the injections key in a forced run, each tuple once
+    key, keyed = _joint_key, {}
+
+    def recording(*seqs):
+        keyed[tuple((s.terms, s.period) for s in seqs)] = seqs
+        return key(*seqs)
+
+    monkeypatch.setattr(sys.modules[__name__], "_joint_key", recording)
+    forced_failure_reports(monkeypatch)
+    assert {len(seqs) for seqs in keyed.values()} == {1, 2}
+    # reversed, a pair (8, 24) puts the shorter period first, so the least
+    # rotation of the first member repeats and the second settles the tie
+    for seqs in keyed.values():
+        for order in (seqs, seqs[::-1]):
+            assert key(*order) == _joint_key_of_every_rotation(*order)
 
 
 def test_every_law_fails_past_its_first_cell():
