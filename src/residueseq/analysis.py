@@ -31,7 +31,7 @@ from .ringcore import (
     carry_map_poly,
     is_odd_prime,
 )
-from .polyring import RingPolynomial, reduce_mod_p
+from .polyring import RingPolynomial, format_coeffs, reduce_mod_p
 from .primitivity import (
     PrimitivityCertificate,
     certify,
@@ -108,10 +108,6 @@ def _report(experiment, params, witness, counts, sampled, seed, started):
         seed=seed,
         ms=int((time.perf_counter() - started) * 1000),
     )
-
-
-def _fmt_coeffs(f: RingPolynomial) -> str:
-    return ",".join(str(c) for c in f.coeffs) if f.coeffs else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +469,7 @@ def verify_alpha_k_injectivity(
         "p": p,
         "e": ctx.e,
         "n": cert.n,
-        "f": _fmt_coeffs(cert.f),
+        "f": format_coeffs(cert.f),
         "g": format_univariate(m.g),
         "eta": format_multipoly(m.eta),
         "k": k,
@@ -708,7 +704,7 @@ def suite_recurrence(
         witness, positions = _recurrence_failure(
             (generate(cert.f, state) for state in states), cert, p, e)
         params = {
-            "p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f),
+            "p": p, "e": e, "n": n, "f": format_coeffs(cert.f),
             # a constant: the golden report and the benchmark digests pin it
             "states": len(states), "j_max": p - 1, "fallback_reading": False,
         }
@@ -780,7 +776,7 @@ def _period_failure(ctx: RingContext, n: int):
             orbits += 1
             failure = _class_period_failure(seq, t_u, T)
             if failure is not None:
-                return {"f": _fmt_coeffs(f), **failure}, orbits, generators
+                return {"f": format_coeffs(f), **failure}, orbits, generators
     return None, orbits, generators
 
 
@@ -851,7 +847,7 @@ def _pair_law(gens, first, cell, second=None, names=("a_state", "b_state")):
             if failed[ci] is not None:
                 found, cb, rb = failed[ci]
                 states = map(list, (reps[ci].initial_state, b_reps[cb].state_at(rb)))
-                return {"f": _fmt_coeffs(f), **dict(zip(names, states)), **found}, cells
+                return {"f": format_coeffs(f), **dict(zip(names, states)), **found}, cells
     return None, cells
 
 
@@ -1056,6 +1052,20 @@ def _scaled_uniform_scan(f, reps, phi, lam, s, limit=math.inf):
     return _first_split(reps, split, s, limit)
 
 
+def _negation_cell(experiment, cert, m, s, params) -> UniformityReport:
+    """The report that compressed a and -a are s-uniform under m, over every
+    primitive a of cert.f; params names the suite's map and joins the
+    ring, generator, s and eta."""
+    started = time.perf_counter()
+    ctx = cert.f.ctx
+    witness, positions = _scaled_uniform_scan(
+        cert.f, _class_walk(cert.f), value_table(m, ctx), ctx.modulus - 1, s)
+    params = {"p": ctx.p, "e": ctx.e, "n": cert.n, "f": format_coeffs(cert.f), "s": s,
+              "eta": format_multipoly(m.eta), **params}
+    counts = {"positions": positions, "pairs": _state_count(cert.f)}
+    return _report(experiment, params, witness, counts, False, 0, started)
+
+
 def suite_thm7(ps=(3, 5), e: int = 2, n: int = 2) -> list[UniformityReport]:
     """Permutation-top maps: compressed a and -a are s-uniform for the
     map constructed for each s; plus the closed form z = 0, w = (p+1)/2
@@ -1079,16 +1089,8 @@ def suite_thm7(ps=(3, 5), e: int = 2, n: int = 2) -> list[UniformityReport]:
                     {"positions": 2, "pairs": 0}, False, 0, started)
         )
 
-        walked = _state_count(cert.f)
         for s in range(p):
-            started = time.perf_counter()
-            m = construct_thm7(g, s, e)
-            witness, positions = _scaled_uniform_scan(
-                cert.f, _class_walk(cert.f), value_table(m, ctx), ctx.modulus - 1, s)
-            params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x",
-                      "s": s, "eta": format_multipoly(m.eta)}
-            counts = {"positions": positions, "pairs": walked}
-            reports.append(_report("thm7", params, witness, counts, False, 0, started))
+            reports.append(_negation_cell("thm7", cert, construct_thm7(g, s, e), s, {"g": "x"}))
     return reports
 
 
@@ -1112,22 +1114,9 @@ def suite_thm8(ps=(5, 7), e: int = 2, n: int = 2) -> list[UniformityReport]:
                     {"positions": 1, "pairs": 0}, False, 0, started)
         )
 
-        walked = _state_count(cert.f)
         for s in range(p):
-            started = time.perf_counter()
-            m = construct_thm8(g, s, lam, 0, e)
-            if m is None:
-                reports.append(
-                    _report("thm8", {"p": p, "e": e, "s": s, "applicable": False},
-                            None, {"positions": 0, "pairs": 0}, False, 0, started)
-                )
-                continue
-            witness, positions = _scaled_uniform_scan(
-                cert.f, _class_walk(cert.f), value_table(m, ctx), ctx.modulus - 1, s)
-            params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "g": "x^2",
-                      "s": s, "lambda": lam, "eta": format_multipoly(m.eta)}
-            counts = {"positions": positions, "pairs": walked}
-            reports.append(_report("thm8", params, witness, counts, False, 0, started))
+            reports.append(_negation_cell("thm8", cert, construct_thm8(g, s, lam, 0, e), s,
+                                          {"g": "x^2", "lambda": lam}))
     return reports
 
 
@@ -1154,7 +1143,7 @@ def suite_thm9(
         if list(uc.holding) != predicted or uc.count != expected_count:
             witness = {"holding": list(uc.holding), "predicted": predicted,
                        "expected_count": expected_count}
-        params = {"p": p, "e": e, "n": n, "f": _fmt_coeffs(cert.f), "w": w,
+        params = {"p": p, "e": e, "n": n, "f": format_coeffs(cert.f), "w": w,
                   "lambda": -1, "count": uc.count,
                   "vacuous": list(uc.vacuous)}
         counts = {"positions": uc.positions, "pairs": uc.pairs}

@@ -214,13 +214,22 @@ def _flags_given(args):
             yield flag, value
 
 
+def _suite_params(suite: str):
+    """The parameters a suite takes; `all` takes the budget and the seed."""
+    if suite == "all":
+        return ("budget", "seed")
+    return inspect.signature(analysis.SUITES[suite]).parameters
+
+
 def _suite_overrides(args) -> dict:
     """The suite parameters that the verify flags set. A flag the suite
     has no parameter for is invalid input, not silently ignored."""
-    takes = () if args.suite == "all" else inspect.signature(analysis.SUITES[args.suite]).parameters
+    takes = _suite_params(args.suite)
     offers = {flag: SUITE_FLAGS[flag][2](value) for flag, value in _flags_given(args)}
     ignored = [flag + (" with more than one prime" if flag == "--p" and "p" in takes else "")
                for flag, params in offers.items() if params and not params.keys() & takes]
+    if args.budget and "budget" not in takes:
+        ignored.append("--budget")
     if ignored:
         raise InvalidInputError(f"verify {args.suite} does not take {', '.join(ignored)}")
     return {k: v for params in offers.values() for k, v in params.items() if k in takes}
@@ -228,12 +237,15 @@ def _suite_overrides(args) -> dict:
 
 def _repro_line(args, budget: int) -> str:
     """The verify command that replays this run: the suite, every flag
-    that set a suite parameter, the seed and the budget in effect."""
+    that set a suite parameter, the seed and, for a suite that reads it,
+    the budget in effect."""
     bits = ["residueseq verify", args.suite]
     for flag, value in _flags_given(args):
         value = ",".join(map(str, value)) if isinstance(value, tuple) else value
         bits.append(f"{flag} {value}")
-    bits += [f"--seed {args.seed}", f"--budget {budget}"]
+    bits.append(f"--seed {args.seed}")
+    if "budget" in _suite_params(args.suite):
+        bits.append(f"--budget {budget}")
     return " ".join(bits)
 
 
@@ -294,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--budget", type=positive_int,
                         help="work budget: 64-bit mask words for alpha-k; for thm9, "
                              "p^e table entries per s plus the positions its failing "
-                             f"walks read; over it they sample (or ${BUDGET_ENV})")
+                             f"walks read; over it they sample (or ${BUDGET_ENV}); "
+                             "the other suites reject it")
     verify.add_argument("--format", choices=("json", "csv", "text"), default="json")
     verify.add_argument("--timing", action="store_true",
                         help="include wall-time in reports (breaks byte determinism)")

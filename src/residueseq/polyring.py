@@ -28,6 +28,7 @@ __all__ = [
     "with_exponent",
     "reduce_mod_p",
     "parse_poly_spec",
+    "format_coeffs",
     "format_poly_spec",
 ]
 
@@ -55,18 +56,20 @@ class RingPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def unit_constant_mod_p(self) -> bool:
-        return self.constant_term % self.ctx.p != 0
+    def check_generator(self) -> None:
+        """Raise InvalidInputError unless f is monic of degree >= 1 with
+        f(0) a unit mod p: the generators, whose state map is a bijection."""
+        cs = self.coeffs
+        if len(cs) < 2 or cs[-1] != 1:
+            raise InvalidInputError(f"a generator must be monic of degree >= 1, got {self}")
+        if cs[0] % self.ctx.p == 0:
+            raise InvalidInputError(f"a generator needs f(0) a unit mod p, got {self}")
 
     def __str__(self) -> str:
         return format_poly_spec(self)
@@ -212,10 +215,7 @@ def order_of_x(f: RingPolynomial) -> int:
     once per residue of f mod p; T is T1 times the least p^j, j < e,
     with (x^T1)^(p^j) = 1, found by repeated p-th powers.
     """
-    if not f.is_monic or f.degree < 1:
-        raise InvalidInputError("order is defined for monic f of degree >= 1")
-    if not f.unit_constant_mod_p():
-        raise InvalidInputError("f(0) must be a unit mod p")
+    f.check_generator()
     ctx = f.ctx
     t = _order_mod_p(ctx.p, tuple(c % ctx.p for c in f.coeffs))
     if t == 0:
@@ -255,10 +255,14 @@ def reduce_mod_p(f: RingPolynomial) -> RingPolynomial:
     return with_exponent(f, 1)
 
 
+def format_coeffs(f: RingPolynomial) -> str:
+    """The coefficients `<c0>,<c1>,...` (constant first), `0` for zero."""
+    return ",".join(map(str, f.coeffs)) if f.coeffs else "0"
+
+
 def format_poly_spec(f: RingPolynomial) -> str:
     """Text form `p=<p> e=<e>; f=<c0>,<c1>,...` (constant first)."""
-    body = ",".join(str(c) for c in f.coeffs) if f.coeffs else "0"
-    return f"p={f.ctx.p} e={f.ctx.e}; f={body}"
+    return f"p={f.ctx.p} e={f.ctx.e}; f={format_coeffs(f)}"
 
 
 def parse_poly_spec(text: str) -> RingPolynomial:

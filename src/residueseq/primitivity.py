@@ -29,13 +29,6 @@ EXHAUSTIVE_LIMIT = 10**6
 DEFAULT_SEARCH_BUDGET = 200_000
 
 
-def _require_candidate(f: RingPolynomial) -> None:
-    if not f.is_monic or f.degree < 1:
-        raise InvalidInputError("expected a monic polynomial of degree >= 1")
-    if not f.unit_constant_mod_p():
-        raise InvalidInputError("f(0) must be a unit mod p")
-
-
 def _strong(f: RingPolynomial, h1: RingPolynomial) -> bool:
     # the strong test on a primitive f's lift polynomial h_1
     return f.ctx.e >= 2 and reduce_mod_p(h1).degree >= 1
@@ -58,7 +51,6 @@ def _search_order(f: RingPolynomial) -> int:
 
 def is_primitive(f: RingPolynomial) -> bool:
     """True iff the order of x mod f attains p^(e-1) * (p^n - 1)."""
-    _require_candidate(f)
     return _qualifies(f, order_of_x(f))
 
 
@@ -73,7 +65,7 @@ def compute_h(f: RingPolynomial, i: int) -> RingPolynomial:
     ctx = f.ctx
     if not 1 <= i <= ctx.e:
         raise InvalidInputError(f"level index must be in [1, {ctx.e}], got {i}")
-    _require_candidate(f)
+    f.check_generator()
     T = ctx.p ** f.degree - 1
     r = poly_powmod(x_poly(ctx), ctx.p ** (i - 1) * T, f)
     diff = [(r.coeff(k) - (1 if k == 0 else 0)) % ctx.modulus for k in range(f.degree)]
@@ -90,7 +82,8 @@ def compute_h(f: RingPolynomial, i: int) -> RingPolynomial:
 
 
 def is_strongly_primitive(f: RingPolynomial) -> bool:
-    """True iff f is primitive and its h_1 mod p has degree >= 1."""
+    """True iff the h_1 of a primitive f has degree >= 1 mod p; raises
+    InvalidInputError when f is not primitive or e < 2."""
     if f.ctx.e < 2:
         raise InvalidInputError(
             "strong primitivity needs e >= 2; h_1 is undetermined over Z/p"
@@ -117,7 +110,6 @@ def order_and_certificate(
 ) -> tuple[int, PrimitivityCertificate | None]:
     """The order of x mod f, and the certificate when that order makes f
     primitive (None otherwise); the order is computed once."""
-    _require_candidate(f)
     ctx = f.ctx
     n = f.degree
     period = order_of_x(f)

@@ -22,7 +22,7 @@ from .polyring import (
     apply_poly_to_sequence,
     ward_bound,
 )
-from .ringcore import carry_c1
+from .ringcore import RingContext, carry_c1, digit_table
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,8 @@ def generate(f: RingPolynomial, init) -> LRSequence:
     least period; when no native slot holds the combination, the state is
     walked a term at a time.
     """
-    n = f.degree
-    if not f.is_monic or n < 1:
-        raise InvalidInputError("generator must be monic of degree >= 1")
-    if not f.unit_constant_mod_p():
-        raise InvalidInputError("f(0) must be a unit mod p")
-    m = f.ctx.modulus
+    f.check_generator()
+    n, m = f.degree, f.ctx.modulus
     init = tuple(v % m for v in init)
     if len(init) != n:
         raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
@@ -206,8 +202,7 @@ def generate(f: RingPolynomial, init) -> LRSequence:
 def _digits(p: int, e: int, i: int) -> bytes | tuple[int, ...]:
     # digit i of every residue mod p^e, for the level streams of one ring: a
     # 256-byte translate table when every residue fits a byte, else a tuple
-    q = p**i
-    digits = tuple(v // q % p for v in range(p**e))
+    digits = tuple(map(operator.itemgetter(i), digit_table(RingContext(p, e))))
     return bytes(digits).ljust(256, b"\0") if p**e <= 256 else digits
 
 

@@ -7,13 +7,14 @@ import random
 import time
 
 from residueseq import analysis
-from residueseq.analysis import DEFAULT_BUDGET, _fmt_coeffs, _report, shift_classes
+from residueseq.analysis import DEFAULT_BUDGET, _report, shift_classes
 from residueseq.compress import MultivariatePoly, format_multipoly, value_table
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.polyring import (
     RingPolynomial,
     _factorize,
     apply_poly_to_sequence,
+    format_coeffs,
     one,
     poly_mod,
     poly_mulmod,
@@ -42,10 +43,7 @@ def generate_by_tuple_state(f: RingPolynomial, init) -> LRSequence:
     """generate as a loop over tuple states: one dot product and one tuple
     rebuild per term, until the initial state recurs."""
     n = f.degree
-    if not f.is_monic or n < 1:
-        raise InvalidInputError("generator must be monic of degree >= 1")
-    if not f.unit_constant_mod_p():
-        raise InvalidInputError("f(0) must be a unit mod p")
+    f.check_generator()
     init = tuple(v % f.ctx.modulus for v in init)
     if len(init) != n:
         raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
@@ -81,10 +79,7 @@ def generate_loop(f: RingPolynomial, init) -> LRSequence:
     next, and the kernel is exact.
     """
     n = f.degree
-    if not f.is_monic or n < 1:
-        raise InvalidInputError("generator must be monic of degree >= 1")
-    if not f.unit_constant_mod_p():
-        raise InvalidInputError("f(0) must be a unit mod p")
+    f.check_generator()
     init = tuple(v % f.ctx.modulus for v in init)
     if len(init) != n:
         raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
@@ -125,11 +120,11 @@ def period_failure_all_levels(ctx: RingContext, n: int):
             lowest = next((i for i, lvl in enumerate(levels) if not lvl.is_zero()), None)
             expected = 1 if lowest is None else p ** (e - 1 - lowest) * T
             if seq.period != expected:
-                return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state),
+                return ({"f": format_coeffs(f), "state": list(seq.initial_state),
                          "period": seq.period, "expected": expected}, orbits, generators)
             for i, lvl in enumerate(levels if lowest == 0 else ()):
                 if lvl.period != p**i * T:
-                    return ({"f": _fmt_coeffs(f), "state": list(seq.initial_state), "level": i,
+                    return ({"f": format_coeffs(f), "state": list(seq.initial_state), "level": i,
                              "period": lvl.period, "expected": p**i * T}, orbits, generators)
     return None, orbits, generators
 
@@ -159,8 +154,7 @@ def shift_classes_by_dict(f: RingPolynomial, states=None):
 
 def order_of_x_bruteforce(f: RingPolynomial) -> int:
     """Sequential-multiplication oracle for order_of_x."""
-    if not f.unit_constant_mod_p():
-        raise InvalidInputError("f(0) must be a unit mod p")
+    f.check_generator()
     xe = poly_mod(x_poly(f.ctx), f)
     unit = one(f.ctx)
     acc = xe
@@ -201,10 +195,7 @@ def order_of_x_divisor_scan(f: RingPolynomial) -> int:
     """order_of_x as a scan: the least divisor candidate d with x^d = 1
     over Z/p, then the least power of p that closes the gap to Z/(p^e),
     one poly_powmod from x per candidate."""
-    if not f.is_monic or f.degree < 1:
-        raise InvalidInputError("order is defined for monic f of degree >= 1")
-    if not f.unit_constant_mod_p():
-        raise InvalidInputError("f(0) must be a unit mod p")
+    f.check_generator()
     ctx = f.ctx
     f1 = reduce_mod_p(f)
     x1 = x_poly(f1.ctx)
@@ -317,7 +308,7 @@ def verify_alpha_k_injectivity_per_state(cert, m, k, budget=DEFAULT_BUDGET, seed
         "p": p,
         "e": ctx.e,
         "n": cert.n,
-        "f": _fmt_coeffs(cert.f),
+        "f": format_coeffs(cert.f),
         "g": format_univariate(m.g),
         "eta": format_multipoly(m.eta),
         "k": k,
@@ -535,7 +526,7 @@ def linear_relation_failure_per_pair(ctx: RingContext, n: int):
                     cells += 1
                     got = analysis._value_set(a, b, k)
                     if got != ({lam * k % p} if lam is not None else set(range(p))):
-                        return {"f": _fmt_coeffs(f), "a_state": list(sa), "b_state": list(sb),
+                        return {"f": format_coeffs(f), "a_state": list(sa), "b_state": list(sb),
                                 "k": k, "got": sorted(got)}, cells
     return None, cells
 
@@ -561,7 +552,7 @@ def relation_failure_per_pair(ctx: RingContext, n: int):
                         continue
                     lam = analysis._proportional(c_top, gamma, p) if len(got) == 1 else None
                     if not lower_zero or lam is None or got != {lam * k % p}:
-                        return {"f": _fmt_coeffs(f), "state": list(c_seq.initial_state), "k": k,
+                        return {"f": format_coeffs(f), "state": list(c_seq.initial_state), "k": k,
                                 "got": sorted(got)}, cells
     return None, cells
 
@@ -604,7 +595,7 @@ def highest_level_failure_per_pair(ctx: RingContext, n: int):
                     diff_ok = all((b_top.at(t) - a_top.at(t)) % p == delta * kinv * alpha.at(t) % p
                                   for t in range(span))
                     if lam != 1 or not lower_equal or not diff_ok:
-                        return {"f": _fmt_coeffs(f), "a_state": list(a_seq.initial_state),
+                        return {"f": format_coeffs(f), "a_state": list(a_seq.initial_state),
                                 "b_state": list(b_seq.initial_state),
                                 "k": k, "lambda": lam, "delta": delta}, cells
     return None, cells

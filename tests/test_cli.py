@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from residueseq import analysis, primitivity
 from residueseq.cli import build_parser, main, _parse_map_spec, _repro_line, _suite_overrides
 from residueseq.errors import InvalidInputError
-from residueseq.ringcore import RingContext
+from residueseq.ringcore import RingContext, UnivariateFn
 
 
 def run_cli(capsys, *argv):
@@ -334,6 +335,10 @@ def test_bad_budget_env_exits_2(capsys, monkeypatch, value):
     (("verify", "legendre", "--p", "3", "--e", "5", "--k", "1"), "--e, --k"),
     (("verify", "periods", "--p", "3,5"), "--p with more than one prime"),
     (("verify", "thm9", "--f", "8,8,1", "--deg-g", "2"), "--f, --deg-g"),
+    (("verify", "carry", "--p", "3", "--n", "2", "--budget", "5"), "--n, --budget"),
+    *((("verify", suite, "--budget", "5"), "--budget")
+      for suite in ("carry", "legendre", "recurrence", "periods", "distribution",
+                    "thm7", "thm8")),
 ])
 def test_flags_a_suite_would_ignore_exit_2(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
@@ -349,6 +354,8 @@ def test_flags_a_suite_would_ignore_exit_2(capsys, argv, named):
     (("alpha-k", "--f", "8,8,1", "--deg-g", "2"),
      {"f_coeffs": (8, 8, 1), "deg_g": 2}),
     (("all",), {}),
+    (("all", "--budget", "5"), {}),
+    (("thm9", "--budget", "5"), {}),
 ])
 def test_flags_map_to_suite_parameters(argv, overrides):
     args = build_parser().parse_args(["verify", *argv])
@@ -503,21 +510,76 @@ def test_readme_library_use_runs():
 
 
 def test_repro_line_mentions_suite_and_seed():
-    # the line parses back to the same suite, overrides, seed and budget
+    # the line parses back to the same suite, overrides, seed and budget;
+    # a suite that reads no budget is replayed without one
     parser = build_parser()
-    for argv in (
-        ("thm9", "--p", "5", "--seed", "4"),
-        ("alpha-k", "--p", "3", "--e", "2", "--n", "2", "--f", "8,8,1",
-         "--deg-g", "2", "--k", "1,2", "--seed", "7", "--budget", "5000"),
-        ("all",),
+    for argv, budget in (
+        (("thm9", "--p", "5", "--seed", "4"), 5000),
+        (("alpha-k", "--p", "3", "--e", "2", "--n", "2", "--f", "8,8,1",
+          "--deg-g", "2", "--k", "1,2", "--seed", "7", "--budget", "5000"), 5000),
+        (("all",), 5000),
+        (("periods", "--p", "7", "--e", "2", "--seed", "3"), None),
     ):
         args = parser.parse_args(["verify", *argv])
         line = _repro_line(args, 5000)
         assert line.startswith(f"residueseq verify {args.suite} ")
         again = parser.parse_args(shlex.split(line)[1:])
         assert again.suite == args.suite and again.seed == args.seed
-        assert again.budget == 5000
+        assert again.budget == budget
         assert _suite_overrides(again) == _suite_overrides(args)
+
+
+# genuine functions for the fakes below to fall back on
+CARRY_MAP_POLY = analysis.carry_map_poly
+LEGENDRE_SUM = analysis.legendre_sum
+INTERSECTION_COUNT = analysis.intersection_count
+CONSTRUCT_THM7 = analysis.construct_thm7
+CONSTRUCT_THM8 = analysis.construct_thm8
+COUNT_UNIFORM_S = analysis.count_uniform_s
+
+
+def _thm8_rejecting_nothing(g, s, lam, r, e):
+    # a map for every top: the one for x^2 when g has none
+    return CONSTRUCT_THM8(g, s, lam, r, e) or CONSTRUCT_THM8(UnivariateFn(g.p, (0, 0, 1)), s, lam, r, e)
+
+
+def _count_missing_one(*args, **kwargs):
+    uc = COUNT_UNIFORM_S(*args, **kwargs)
+    return dataclasses.replace(uc, holding=uc.holding[1:])
+
+
+@pytest.mark.parametrize("argv, name, fake, experiment, keys", [
+    (("carry", "--p", "5"), "carry_map_poly",
+     lambda u, p: CARRY_MAP_POLY(0 if u == 1 else u, p), "carry", {"u", "coefficient"}),
+    (("legendre", "--p", "5"), "legendre_sum",
+     lambda w, p: LEGENDRE_SUM(w, p) + (w == 2), "legendre-sum", {"w", "sum", "expected"}),
+    (("legendre", "--p", "5"), "intersection_count",
+     lambda p, w: INTERSECTION_COUNT(p, w) + 1, "legendre-intersection",
+     {"w", "brute", "formula"}),
+    (("thm7", "--p", "3"), "construct_thm7",
+     lambda g, s, e: CONSTRUCT_THM7(g, s + 1, e), "thm7-closed-form", {"z", "w", "expected_w"}),
+    (("thm8", "--p", "5"), "construct_thm8", _thm8_rejecting_nothing,
+     "thm8-inapplicable", {"reason"}),
+    (("thm9", "--p", "5"), "count_uniform_s", _count_missing_one,
+     "thm9", {"holding", "predicted", "expected_count"}),
+], ids=["carry", "legendre-sum", "legendre-intersection", "thm7-closed-form",
+        "thm8-inapplicable", "thm9-count"])
+def test_a_broken_claim_fails_with_its_witness_and_replays(
+        capsys, monkeypatch, argv, name, fake, experiment, keys):
+    # each cell settled by a closed form or a count fails once the function
+    # it checks through `analysis` breaks the claim, and its fails: line
+    # replays the same run
+    monkeypatch.setattr(analysis, name, fake)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    failing = [r for r in json.loads(out) if r["experiment"] == experiment]
+    assert failing and all(r["verdict"] == "fails" for r in failing)
+    assert all(r["witness"].keys() == keys for r in failing)
+    line = err.splitlines()[0]
+    assert line.startswith("fails: ")
+    replay = shlex.split(line.split("; reproduce with: ")[1])
+    assert replay[:2] == ["residueseq", "verify"]
+    assert run_cli(capsys, *replay[1:]) == (1, out, err)
 
 
 def test_failing_report_prints_replay_line(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -24,7 +25,9 @@ from residueseq.primitivity import (
     is_strongly_primitive,
     iter_monic_polys,
     iter_primitive,
+    order_and_certificate,
 )
+from residueseq.sequences import generate
 
 Z9 = RingContext(3, 2)
 Z3 = RingContext(3, 1)
@@ -35,6 +38,24 @@ def test_is_primitive_examples():
     assert is_primitive(FIB9)
     assert not is_primitive(RingPolynomial(Z9, (8, 1)))      # x - 1
     assert not is_primitive(RingPolynomial(Z9, (8, 0, 1)))   # x^2 - 1
+
+
+@pytest.mark.parametrize("f, message", [
+    (RingPolynomial(Z9, (8, 8, 2)), "monic of degree >= 1"),
+    (RingPolynomial(Z9, (1,)), "monic of degree >= 1"),
+    (RingPolynomial(Z9, (3, 0, 1)), "f(0) a unit mod p"),
+], ids=["not-monic", "constant", "f0-divisible-by-p"])
+@pytest.mark.parametrize("call", [
+    lambda f: generate(f, (0, 1)),
+    order_of_x,
+    is_primitive,
+    lambda f: compute_h(f, 1),
+    order_and_certificate,
+], ids=["generate", "order_of_x", "is_primitive", "compute_h", "order_and_certificate"])
+def test_every_entry_point_rejects_a_non_generator(f, message, call):
+    # one check, RingPolynomial.check_generator, with one message per condition
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call(f)
 
 
 def test_compute_h_reconstruction():
