@@ -221,25 +221,13 @@ def _state_codes(seq: LRSequence):
     return codes
 
 
-def _class_walk(f: RingPolynomial, primitive: bool = True):
-    """The reps of shift_classes(f, primitive), one at a time: a class is
-    walked only once the reps before it are read. The walk keeps one byte
-    per state code."""
-    m, n = f.ctx.modulus, f.degree
-    seen = bytearray(m**n)  # by state code: 0 unseen, 1 walked, 2 left out
-    if primitive:
-        for state in itertools.product(range(0, m, f.ctx.p), repeat=n):
-            seen[functools.reduce(lambda c, v: c * m + v, state)] = 2
-    code = seen.find(0)
-    while code >= 0:
-        s = generate(f, (code // m**(n - 1 - k) % m for k in range(n)))
-        # the states of one least period are distinct and in no earlier class
-        for c in _state_codes(s):
-            seen[c] = 1
-        if seen[code] != 1:  # else find() would return code forever
-            raise RuntimeError(f"the sequence of {f} from state code {code} misses its start")
-        yield s
-        code = seen.find(0, code)
+@functools.lru_cache(maxsize=64)
+def _level0_period(fp: RingPolynomial) -> int:
+    """The least period of the sequence of fp over Z/p from (0, ..., 0, 1):
+    for a primitive fp every nonzero state lies on that one cycle, so it is
+    the level-0 period of every state nonzero mod p. One generate per
+    residue, shared by every lift of fp; bounded."""
+    return generate(fp, (0,) * (fp.degree - 1) + (1,)).period
 
 
 @functools.lru_cache(maxsize=4)
@@ -290,7 +278,7 @@ def _fiber_classes(f: RingPolynomial, t_u: int):
 
 
 def _state_count(f: RingPolynomial, primitive: bool = True) -> int:
-    """The states _class_walk(f, primitive) covers: m^n - (m/p)^n primitive
+    """The states shift_classes(f, primitive) covers: m^n - (m/p)^n primitive
     states, or all m^n. f(0) is a unit, so every state lies on a cycle and
     a cycle through a primitive state stays primitive."""
     m, n = f.ctx.modulus, f.degree
@@ -316,12 +304,20 @@ def shift_classes(f: RingPolynomial, primitive: bool = True):
     primitive initial state (nonzero mod p), or from every state.
 
     Returns (reps, walked): reps in lex order of their initial state, each
-    the least state of its class, and walked the number of states the
-    walk covers, _state_count(f, primitive). Verdicts of rotation-invariant
-    checks carry over from the rep to the whole class. _atlas adds random
-    access to the states.
+    the least state of its class, and walked the number of states they
+    cover, _state_count(f, primitive). The classes are those of
+    _fiber_classes, of layer 0 alone when primitive, each rotated to its
+    least state. Verdicts of rotation-invariant checks carry over from the
+    rep to the whole class. _atlas adds random access to the states.
     """
-    return list(_class_walk(f, primitive)), _state_count(f, primitive)
+    p, reps = f.ctx.p, []
+    for s in _fiber_classes(f, _level0_period(reduce_mod_p(f))):
+        if primitive and not any(v % p for v in s.initial_state):
+            continue
+        codes = list(_state_codes(s))
+        reps.append(s.shifted(codes.index(min(codes))))
+    reps.sort(key=lambda s: s.initial_state)
+    return reps, _state_count(f, primitive)
 
 
 @functools.lru_cache(maxsize=2)
@@ -335,6 +331,14 @@ def _atlas(f: RingPolynomial, primitive: bool = True):
     for i, c in enumerate(itertools.chain.from_iterable(map(_state_codes, reps))):
         where[c] = i
     return tuple(reps), array("q", (i for i in where if i >= 0))
+
+
+def _lex_reps(f: RingPolynomial):
+    """The reps of shift_classes(f), one at a time. The class through
+    (0, ..., 0, 1), the lex-first primitive state, is generated alone; the
+    others are enumerated, through _atlas, only once it is read past."""
+    yield generate(f, (0,) * (f.degree - 1) + (1,))
+    yield from _atlas(f)[0][1:]
 
 
 @functools.lru_cache(maxsize=2)
@@ -578,8 +582,8 @@ def count_uniform_s(
     scan = [s for s in range(p) if s in img]
 
     # a tee that is never advanced keeps every rep a copy has read: the
-    # failing s share one class walk, each reading it from the first rep
-    classes = itertools.tee(_class_walk(cert.f), 1)[0]
+    # failing s share one read of the classes, each from the first rep
+    classes = itertools.tee(_lex_reps(cert.f), 1)[0]
     verdicts: dict[int, tuple] = {}
     spent = 0
     for s in scan:
@@ -713,15 +717,6 @@ def suite_recurrence(
     return reports
 
 
-@functools.lru_cache(maxsize=64)
-def _level0_period(fp: RingPolynomial) -> int:
-    """The least period of the sequence of fp over Z/p from (0, ..., 0, 1):
-    for a primitive fp every nonzero state lies on that one cycle, so it is
-    the level-0 period of every state nonzero mod p. One generate per
-    residue, shared by every lift of fp; bounded."""
-    return generate(fp, (0,) * (fp.degree - 1) + (1,)).period
-
-
 def _class_period_failure(seq: LRSequence, t_u: int, T: int):
     """How the shift class of seq breaks the period laws, as the witness
     fields after f, or None; t_u is the level-0 period of a state nonzero
@@ -755,10 +750,9 @@ def _period_failure(ctx: RingContext, n: int):
     period is _level0_period of f mod p. A generator is settled by its
     classes from _fiber_classes, each checked from the member it starts
     at: the verdicts do not change under rotation, so when every class
-    holds, f adds its class count. When one fails, the classes are
-    rotated to their least states and checked again in lex order, which
-    gives the least failing state as the witness and the classes checked
-    up to it, as a walk of the classes in lex order would."""
+    holds, f adds its class count. When one fails, shift_classes lists
+    them again in lex order, each from its least state, which gives the
+    least failing state as the witness and the classes checked up to it."""
     T = ctx.p**n - 1
     orbits = generators = 0
     for f in iter_primitive(ctx, n):
@@ -768,11 +762,7 @@ def _period_failure(ctx: RingContext, n: int):
         if not any(_class_period_failure(seq, t_u, T) for seq in classes):
             orbits += len(classes)
             continue
-        reps = []  # each class rotated to its least state
-        for s in classes:
-            codes = list(_state_codes(s))
-            reps.append(s.shifted(codes.index(min(codes))))
-        for seq in sorted(reps, key=lambda s: s.initial_state):
+        for seq in shift_classes(f, primitive=False)[0]:
             orbits += 1
             failure = _class_period_failure(seq, t_u, T)
             if failure is not None:
@@ -1059,7 +1049,7 @@ def _negation_cell(experiment, cert, m, s, params) -> UniformityReport:
     started = time.perf_counter()
     ctx = cert.f.ctx
     witness, positions = _scaled_uniform_scan(
-        cert.f, _class_walk(cert.f), value_table(m, ctx), ctx.modulus - 1, s)
+        cert.f, _lex_reps(cert.f), value_table(m, ctx), ctx.modulus - 1, s)
     params = {"p": ctx.p, "e": ctx.e, "n": cert.n, "f": format_coeffs(cert.f), "s": s,
               "eta": format_multipoly(m.eta), **params}
     counts = {"positions": positions, "pairs": _state_count(cert.f)}

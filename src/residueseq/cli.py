@@ -250,11 +250,13 @@ def _repro_line(args, budget: int) -> str:
 
 
 def cmd_verify(args) -> int:
-    env = os.environ.get(BUDGET_ENV, str(analysis.DEFAULT_BUDGET))
-    try:
-        budget = args.budget or positive_int(env)
-    except ValueError:
-        raise InvalidInputError(f"${BUDGET_ENV} must be a positive integer, got {env!r}") from None
+    budget = analysis.DEFAULT_BUDGET  # the suites that take no budget never read it
+    if "budget" in _suite_params(args.suite):
+        env = os.environ.get(BUDGET_ENV, str(budget))
+        try:
+            budget = args.budget or positive_int(env)
+        except ValueError:
+            raise InvalidInputError(f"${BUDGET_ENV} must be a positive integer, got {env!r}") from None
     reports = analysis.run_suite(args.suite, budget=budget, seed=args.seed,
                                  **_suite_overrides(args))
     _emit(_reports_payload(reports, args.format, args.timing), args.out)

@@ -7,7 +7,7 @@ import random
 import time
 
 from residueseq import analysis
-from residueseq.analysis import DEFAULT_BUDGET, _report, shift_classes
+from residueseq.analysis import DEFAULT_BUDGET, _report
 from residueseq.compress import MultivariatePoly, format_multipoly, value_table
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.polyring import (
@@ -114,7 +114,8 @@ def period_failure_all_levels(ctx: RingContext, n: int):
     orbits = generators = 0
     for f in iter_primitive(ctx, n):
         generators += 1
-        for seq in shift_classes(f, primitive=False)[0]:
+        every_state = itertools.product(range(ctx.modulus), repeat=n)
+        for seq in shift_classes_by_dict(f, every_state)[0]:
             orbits += 1
             levels = [level(seq, i) for i in range(e)]
             lowest = next((i for i, lvl in enumerate(levels) if not lvl.is_zero()), None)
@@ -495,11 +496,11 @@ def psi_zw_expanded(p: int, e: int, z: int, w: int) -> MultivariatePoly:
 
 def sequences_by_state(f: RingPolynomial, primitive: bool = True) -> list[LRSequence]:
     """The sequence of f from each primitive state, or from every state, in
-    lex order of the state; each a rotation of its class rep, one object
-    per state."""
-    reps, slots = analysis._atlas(f, primitive)
-    laid = [rep.shifted(off) for rep in reps for off in range(rep.period)]
-    return [laid[i] for i in slots]
+    lex order of the state; each a rotation of its class rep from the
+    tuple-state walk, one object per state."""
+    every_state = itertools.product(range(f.ctx.modulus), repeat=f.degree)
+    reps, index = shift_classes_by_dict(f, None if primitive else every_state)
+    return [reps[ci].shifted(off) for ci, off in (index[st] for st in sorted(index))]
 
 
 # The distribution laws as scans over every ordered pair of states. They call
@@ -568,15 +569,9 @@ def highest_level_failure_per_pair(ctx: RingContext, n: int):
     cells = 0
     for f in itertools.islice(iter_primitive(ctx, n, strongly=True), 2):
         cert = certify(f)
-        reps, slots = analysis._atlas(f)
-        rep_alphas = analysis._class_alphas(cert)
-        period = reps[0].period
-        # each state's sequence, top level and alpha (rotated from its class
-        # rep's), in lex order of the state
-        data = []
-        for ci, off in (divmod(i, period) for i in slots):
-            seq = reps[ci].shifted(off)
-            data.append((seq, analysis.level(seq, e - 1), rep_alphas[ci].shifted(off)))
+        # each state's sequence, top level and alpha, in lex order of the state
+        data = [(seq, analysis.level(seq, e - 1), alpha_sequence(seq, cert))
+                for seq in sequences_by_state(f)]
         for a_seq, a_top, alpha in data:
             for b_seq, b_top, beta in data:
                 lam = analysis._proportional(beta, alpha, p)

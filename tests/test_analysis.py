@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -16,7 +18,7 @@ from oracles import (
 from test_forced_failures import INJECTIONS, _constant_level, _top_level_plus_one
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn
-from residueseq.polyring import RingPolynomial, reduce_mod_p
+from residueseq.polyring import RingPolynomial, format_coeffs, reduce_mod_p
 from residueseq.primitivity import certify, find_primitive, iter_primitive
 from residueseq.sequences import generate, level_sequence
 from residueseq.compress import (
@@ -48,6 +50,9 @@ from residueseq.analysis import (
 
 Z9 = RingContext(3, 2)
 FIB9 = RingPolynomial(Z9, (8, 8, 1))
+# x^2 + 1 over Z/27: the cycle through (0, 1) mod 3 has 4 of the 8 nonzero
+# states, so the fibers miss every class through the other 4
+X2_PLUS_1_27 = RingPolynomial(RingContext(3, 3), (1, 0, 1))
 
 
 def test_legendre():
@@ -140,13 +145,17 @@ def test_shift_classes_partition():
     RingPolynomial(RingContext(3, 2), (1, 0, 2, 1)),
     RingPolynomial(RingContext(3, 3), (2, 1, 1)),
     RingPolynomial(RingContext(5, 3), (2, 1)),
-    # not primitive: a(t+1) = 7 a(t) has 5 classes of period 4; x^2 + 1
-    # has short classes
+    # not primitive: a(t+1) = 7 a(t) has 5 classes of period 4, which the
+    # fibers meet; x^2 + 1 has short classes, which they miss
     RingPolynomial(RingContext(5, 2), (18, 1)),
-    RingPolynomial(RingContext(3, 3), (1, 0, 1)),
+    X2_PLUS_1_27,
 ])
 def test_shift_classes_matches_the_dict_walk(f, primitive):
     m, n, p = f.ctx.modulus, f.degree, f.ctx.p
+    if f == X2_PLUS_1_27:
+        with pytest.raises(RuntimeError, match="cover 365 of 729 states"):
+            shift_classes(f, primitive)
+        return
     want_reps, index = shift_classes_by_dict(
         f, None if primitive else itertools.product(range(m), repeat=n))
     reps, walked = shift_classes(f, primitive)
@@ -170,28 +179,67 @@ def _lex_sorted(classes):
     return sorted(least, key=lambda s: s.initial_state)
 
 
+def _dict_walk_classes(f):
+    """The reps of the tuple-state walk over every state of f, in lex order."""
+    return shift_classes_by_dict(f, itertools.product(range(f.ctx.modulus), repeat=f.degree))[0]
+
+
 @pytest.mark.parametrize("p,e,n", [(3, 2, 2), (3, 3, 2), (5, 2, 2), (3, 2, 3)])
 def test_fiber_classes_are_the_lex_walk_classes(p, e, n):
     # the classes from the fibers, each started at some member, are the reps
-    # of the lex walk once rotated to their least states
+    # of the lex walk over tuple states once rotated to their least states
     for f in itertools.islice(iter_primitive(RingContext(p, e), n), 3):
-        assert _lex_sorted(_fiber_classes(f)) == shift_classes(f, primitive=False)[0]
+        assert _lex_sorted(_fiber_classes(f)) == _dict_walk_classes(f)
 
 
 @pytest.mark.parametrize("f,covers", [
     # x - 7 over Z/25: 2 generates the units mod 5, so the cycle through u
     # is every nonzero state mod 5 and the fibers meet every class
     (RingPolynomial(RingContext(5, 2), (18, 1)), True),
-    # x^2 + 1 over Z/27: the cycle through (0, 1) mod 3 has 4 of the 8
-    # nonzero states, so the fibers miss every class through the other 4
-    (RingPolynomial(RingContext(3, 3), (1, 0, 1)), False),
+    (X2_PLUS_1_27, False),
 ])
 def test_fiber_classes_of_a_non_primitive_f_cover_or_raise(f, covers):
     if covers:
-        assert _lex_sorted(_fiber_classes(f)) == shift_classes(f, primitive=False)[0]
+        assert _lex_sorted(_fiber_classes(f)) == _dict_walk_classes(f)
     else:
         with pytest.raises(RuntimeError, match="cover 365 of 729 states"):
             _fiber_classes(f)
+
+
+def _no_atlas(*args, **kwargs):
+    raise AssertionError("the classes were read past the first")
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 2, 2), (5, 2, 2), (3, 3, 2), (7, 2, 2), (5, 2, 1), (3, 3, 1)])
+def test_lex_reps_are_the_shift_classes(monkeypatch, p, e, n):
+    for f in itertools.islice(iter_primitive(RingContext(p, e), n), 3):
+        reps, _ = shift_classes(f)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_atlas", _no_atlas)
+            assert next(analysis._lex_reps(f)) == reps[0]
+        assert list(analysis._lex_reps(f)) == reps
+
+
+def test_lex_reps_of_a_non_primitive_f_are_its_shift_classes():
+    # x - 7 over Z/25: 5 classes of period 4, which the fibers meet
+    f = RingPolynomial(RingContext(5, 2), (18, 1))
+    assert list(analysis._lex_reps(f)) == shift_classes(f)[0]
+
+
+@pytest.mark.parametrize("name, overrides, digest", [
+    ("thm7", {}, "178e8fbf21e0fe11a4c46595f583662c941730f033bd23ede3115af24d8ea212"),
+    ("thm8", {}, "09f80230b5bda55c786d0b44fd8b5ee7418ec64245d1f68915deb5d6c2ae93df"),
+    ("thm9", {"ps": (17, 19, 41)},
+     "437bebd044486b387690f8487da2e7a3b68a5d9ad98048f1809b22ea3018e255"),
+])
+def test_negation_suites_read_the_first_class_alone(monkeypatch, name, overrides, digest):
+    # every failing s splits in the class through (0, ..., 0, 1), so the
+    # suites list no other class; the reports, as `verify` prints them in
+    # JSON, are pinned by sha256
+    monkeypatch.setattr(analysis, "_atlas", _no_atlas)
+    reports = run_suite(name, **overrides)
+    out = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_equal_at_alpha_k():
@@ -571,7 +619,7 @@ def test_scaled_uniform_scan_matches_the_per_term_loop(p):
             if lam % p == 0:
                 continue
             for s in range(p):
-                got = analysis._scaled_uniform_scan(f, analysis._class_walk(f), phi, lam, s)
+                got = analysis._scaled_uniform_scan(f, analysis._lex_reps(f), phi, lam, s)
                 assert got == scaled_uniform_scan_per_term(reps, phi, lam, s)
                 if lam == 1 or len(set(phi)) == 1:
                     assert got == (None, sum(r.period for r in reps))
@@ -638,7 +686,7 @@ def test_scaled_uniform_scan_walks_to_a_late_split(p, e, coeffs):
     ctx = RingContext(p, e)
     m = ctx.modulus
     f = RingPolynomial(ctx, coeffs) if coeffs else find_primitive(ctx, 2, strongly=True).f
-    reps, _ = shift_classes(f)
+    reps, _ = shift_classes_by_dict(f)
     hits = _first_hits(reps)
     # phi hits s = 1 only at v, so exactly v and v / lam split: take the
     # pair the full scan meets last
@@ -646,7 +694,9 @@ def test_scaled_uniform_scan_walks_to_a_late_split(p, e, coeffs):
                         for v in hits for lam in range(2, m) if lam % p and lam * v % m != v)
     phi = [int(u == v) for u in range(m)]
     read = []
-    walk = (read.append(rep) or rep for rep in analysis._class_walk(f))
+    # x^2 + 1 is not primitive mod 3 and its fibers miss classes: it reads the oracle's reps
+    classes = iter(reps) if coeffs == (1, 0, 1) else analysis._lex_reps(f)
+    walk = (read.append(rep) or rep for rep in classes)
     got = analysis._scaled_uniform_scan(f, walk, phi, lam, 1)
     assert got == scaled_uniform_scan_per_term(reps, phi, lam, 1)
     assert got[0] is not None and got[1] == first
@@ -715,23 +765,28 @@ def test_report_shape():
     assert analysis.DEFAULT_BUDGET == 10**8
 
 
-def _period_failure_without_the_lex_walk(monkeypatch, ctx, n):
-    """_period_failure with shift_classes and _class_walk raising: the
-    period laws settle every generator from its fiber classes alone."""
-    def lex_walk(*args, **kwargs):
-        raise AssertionError("the period laws walked the states in lex order")
+def _period_failure_in_lex_order_on_failure(monkeypatch, ctx, n):
+    """_period_failure with its shift_classes calls recorded: a generator
+    whose laws hold is settled from its fiber classes alone, and only a
+    failing one, the witness's, may list them in lex order."""
+    listed = []
+
+    def lex_walk(f, primitive=True):
+        listed.append(format_coeffs(f))
+        return shift_classes(f, primitive)
 
     with monkeypatch.context() as m:
         m.setattr(analysis, "shift_classes", lex_walk)
-        m.setattr(analysis, "_class_walk", lex_walk)
-        return analysis._period_failure(ctx, n)
+        got = analysis._period_failure(ctx, n)
+    assert listed == ([] if got[0] is None else [got[0]["f"]])
+    return got
 
 
 @pytest.mark.parametrize("p,e,n", [(3, 2, 2), (3, 3, 2), (5, 2, 2), (7, 2, 2), (3, 2, 3)])
 def test_period_failure_matches_the_every_level_oracle(monkeypatch, p, e, n):
     ctx = RingContext(p, e)
     want = oracles.period_failure_all_levels(ctx, n)
-    assert _period_failure_without_the_lex_walk(monkeypatch, ctx, n) == want
+    assert _period_failure_in_lex_order_on_failure(monkeypatch, ctx, n) == want
 
 
 def _zero_top_level_when_divisible(s, i):
@@ -756,7 +811,7 @@ def test_period_failure_matches_the_oracle_under_forced_level_failures(monkeypat
             m.setattr(analysis, "level", fake)
             m.setattr(oracles, "level", fake)
             want = oracles.period_failure_all_levels(ctx, 2)
-            got = _period_failure_without_the_lex_walk(monkeypatch, ctx, 2)
+            got = _period_failure_in_lex_order_on_failure(monkeypatch, ctx, 2)
         assert got == want
 
 
@@ -778,38 +833,14 @@ def test_level0_period_generates_once_per_residue():
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3)])
 def test_level0_period_is_the_period_of_every_nonzero_state(p, n):
-    # the per-state table that the lex walk of f mod p gives, by state code:
-    # the zero state has period 1, and every other state the one period
+    # the per-state table that the tuple-state walk of f mod p gives, by state
+    # code: the zero state has period 1, and every other state the one period
     for fp in iter_primitive(RingContext(p, 1), n):
         table = [0] * p**n
-        for rep in shift_classes(fp, primitive=False)[0]:
+        for rep in _dict_walk_classes(fp):
             for c in analysis._state_codes(rep):
                 table[c] = rep.period
         assert table == [1] + [analysis._level0_period(fp)] * (p**n - 1)
-
-
-@pytest.mark.parametrize("f", [
-    RingPolynomial(Z9, (2, 1, 1)),
-    RingPolynomial(Z9, (1, 0, 2, 1)),
-    RingPolynomial(RingContext(5, 2), (2, 1, 1)),
-])
-def test_shift_classes_raises_when_a_sequence_misses_its_start(monkeypatch, f):
-    # generate answering from the state rotated by one slot: the walk marks
-    # a class without the rep's own start, and find() would return it forever
-    m, n = f.ctx.modulus, f.degree
-    calls = 0
-
-    def rotated(f, init):
-        nonlocal calls
-        calls += 1
-        if calls > 2 * m**n:
-            pytest.fail("shift_classes kept walking past 2 m^n sequences")
-        init = tuple(init)
-        return generate(f, init[1:] + init[:1])
-
-    monkeypatch.setattr(analysis, "generate", rotated)
-    with pytest.raises(RuntimeError, match="misses its start"):
-        shift_classes(f)
 
 
 @pytest.mark.parametrize("f", [

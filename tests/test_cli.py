@@ -324,9 +324,17 @@ def test_non_positive_budget_exits_2(capsys, argv, budget):
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 def test_bad_budget_env_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("RESIDUESEQ_BUDGET", value)
+    for argv in (("alpha-k", "--p", "3"), ("thm9", "--p", "5")):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert "$RESIDUESEQ_BUDGET must be a positive integer" in err
+
+
+def test_bad_budget_env_is_ignored_by_a_suite_without_a_budget(capsys, monkeypatch):
+    monkeypatch.setenv("RESIDUESEQ_BUDGET", "abc")
     code, out, err = run_cli(capsys, "verify", "carry", "--p", "3")
-    assert code == 2 and out == ""
-    assert "$RESIDUESEQ_BUDGET must be a positive integer" in err
+    assert code == 0 and err == ""
+    assert all(r["verdict"] == "holds" for r in json.loads(out))
 
 
 @pytest.mark.parametrize("argv, named", [
