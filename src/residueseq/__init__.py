@@ -12,7 +12,6 @@ from .ringcore import (
     carry_c1,
     carry_map_poly,
     interpolate,
-    padic_compose,
     padic_expand,
 )
 from .polyring import (
@@ -29,8 +28,6 @@ from .primitivity import (
     certify,
     compute_h,
     find_primitive,
-    is_primitive,
-    is_strongly_primitive,
 )
 from .sequences import (
     LevelSequence,
@@ -46,10 +43,8 @@ from .compress import (
     MultivariatePoly,
     compress_sequence,
     eval_map,
-    full_monomial_coefficient,
     image_set,
     is_permutation,
-    psi_zW,
     psi_zw,
 )
 from .analysis import (
@@ -61,7 +56,6 @@ from .analysis import (
     legendre,
     legendre_sum,
     run_suite,
-    s_uniform,
     thm9_choose_w,
     verify_alpha_k_injectivity,
 )

@@ -1,4 +1,4 @@
-"""Experiment harness: uniformity predicates and exhaustive theorem checks.
+"""Experiment harness: exhaustive and budgeted checks of the theorems.
 
 Every experiment is a pure function of its parameters and seed and yields
 a UniformityReport; a failing verdict always carries a replayable
@@ -53,7 +53,6 @@ from .compress import (
     from_table,
     image_set,
     is_permutation,
-    psi_zW,
     psi_zw,
     value_table,
 )
@@ -161,49 +160,6 @@ def thm9_choose_w(p: int) -> int:
         if legendre(w, p) == -1 and legendre(-w, p) == -1:
             return w
     raise InvalidInputError(f"no qualifying w below {p}")
-
-
-# ---------------------------------------------------------------------------
-# s-uniformity
-
-def s_uniform_witness(
-    u: LevelSequence,
-    v: LevelSequence,
-    s: int,
-    marker: LevelSequence | None = None,
-    marker_value: int | None = None,
-) -> int | None:
-    """First position where the s-hit sets of u and v disagree, or None.
-
-    Positions run over one common period; a marker restricts them to
-    marker != 0, or to marker == marker_value when a value is given.
-    """
-    if marker is None and marker_value is not None:
-        raise InvalidInputError("marker_value given without a marker sequence")
-    periods = [u.period, v.period]
-    if marker is not None:
-        periods.append(marker.period)
-    for t in range(math.lcm(*periods)):
-        if marker is not None:
-            mv = marker.at(t)
-            if marker_value is None:
-                if mv == 0:
-                    continue
-            elif mv != marker_value:
-                continue
-        if (u.at(t) == s) != (v.at(t) == s):
-            return t
-    return None
-
-
-def s_uniform(
-    u: LevelSequence,
-    v: LevelSequence,
-    s: int,
-    marker: LevelSequence | None = None,
-    marker_value: int | None = None,
-) -> bool:
-    return s_uniform_witness(u, v, s, marker, marker_value) is None
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +292,9 @@ def _atlas(f: RingPolynomial, primitive: bool = True):
 def _lex_reps(f: RingPolynomial):
     """The reps of shift_classes(f), one at a time. The class through
     (0, ..., 0, 1), the lex-first primitive state, is generated alone; the
-    others are enumerated, through _atlas, only once it is read past."""
+    others are enumerated only once it is read past."""
     yield generate(f, (0,) * (f.degree - 1) + (1,))
-    yield from _atlas(f)[0][1:]
+    yield from shift_classes(f)[0][1:]
 
 
 @functools.lru_cache(maxsize=2)
@@ -530,7 +486,7 @@ def construct_thm8(
     if not allowed:
         return None
     z = (s - r) % p
-    return CompressingMap(g=g, eta=psi_zW(p, e, z, allowed, min(allowed)), e=e)
+    return CompressingMap(g=g, eta=psi_zw(p, e, z, min(allowed)), e=e)
 
 
 @dataclass

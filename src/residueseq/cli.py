@@ -41,7 +41,7 @@ BUDGET_ENV = "RESIDUESEQ_BUDGET"
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok != "")
+    return tuple(int(tok) for tok in text.split(","))
 
 
 def _distinct_ints(text: str) -> tuple[int, ...]:
@@ -73,10 +73,27 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _flags_given(args, flags=SUITE_FLAGS):
+    """(flag, value) for each of flags given a value, in their order."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            yield flag, value
+
+
+def _reject(args, flags, taker: str) -> None:
+    """A flag among flags that taker would ignore is invalid input, not
+    silently ignored."""
+    ignored = [flag for flag, _ in _flags_given(args, flags)]
+    if ignored:
+        raise InvalidInputError(f"{taker} does not take {', '.join(ignored)}")
+
+
 def _resolve_poly(args) -> RingPolynomial:
-    if getattr(args, "poly", None):
+    if args.poly is not None:
+        _reject(args, ("--p", "--e", "--f"), "--poly")
         return parse_poly_spec(args.poly)
-    if args.p is None or args.e is None or not getattr(args, "f", None):
+    if args.p is None or args.e is None or args.f is None:
         raise InvalidInputError("give either --poly or all of --p, --e, --f")
     ctx = RingContext(args.p, args.e)
     return RingPolynomial(ctx, tuple(ctx.check(c) for c in args.f))
@@ -92,8 +109,12 @@ def _parse_map_spec(spec: str, p: int, e: int) -> CompressingMap:
         if not part:
             continue
         if part.startswith("g="):
+            if g is not None:
+                raise InvalidInputError("map spec defines g twice")
             g = parse_univariate(part[2:], p)
         elif part.startswith("eta="):
+            if eta is not None:
+                raise InvalidInputError("map spec defines eta twice")
             body = part[4:].strip()
             if body.startswith("psi(") and body.endswith(")"):
                 try:
@@ -140,6 +161,7 @@ def _write_csv(rows) -> str:
 
 def cmd_primitive(args) -> int:
     if args.action == "check":
+        _reject(args, ("--n", "--budget"), "primitive check")
         f = _resolve_poly(args)
         period, cert = order_and_certificate(f)
         if cert is not None:
@@ -154,6 +176,7 @@ def cmd_primitive(args) -> int:
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
         return 0 if ok else 1
     # find
+    _reject(args, ("--f", "--poly"), "primitive find")
     if args.p is None or args.e is None or args.n is None:
         raise InvalidInputError("primitive find needs --p, --e and --n")
     ctx = RingContext(args.p, args.e)
@@ -169,6 +192,8 @@ def cmd_primitive(args) -> int:
 
 
 def cmd_seq(args) -> int:
+    if args.action != "compress":
+        _reject(args, ("--map",), f"seq {args.action}")
     f = _resolve_poly(args)
     seq = generate(f, args.init)
     alpha = None
@@ -204,14 +229,6 @@ def _reports_payload(reports, fmt: str, include_timing: bool) -> str:
         summary = " ".join(f"{k}={v}" for k, v in sorted(d["params"].items()))
         lines.append(f"[{d['verdict']}] {d['experiment']} {summary}")
     return "\n".join(lines) + "\n"
-
-
-def _flags_given(args):
-    """(flag, value) for each SUITE_FLAGS flag given a value, in table order."""
-    for flag in SUITE_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value not in (None, ()):
-            yield flag, value
 
 
 def _suite_params(suite: str):

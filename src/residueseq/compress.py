@@ -78,10 +78,6 @@ def zero_poly(p: int, arity: int) -> MultivariatePoly:
     return MultivariatePoly(p, arity, {})
 
 
-def constant_poly(p: int, arity: int, c: int) -> MultivariatePoly:
-    return MultivariatePoly(p, arity, {(0,) * arity: c % p})
-
-
 def from_table(p: int, arity: int, values) -> MultivariatePoly:
     """Interpolate a dense table (product order, x_0 slowest) to canonical form.
 
@@ -109,42 +105,9 @@ def from_table(p: int, arity: int, values) -> MultivariatePoly:
 
 def psi_zw(p: int, e: int, z: int, w: int) -> MultivariatePoly:
     """The two-valued map: z at the all-zero tuple, w elsewhere."""
-    return psi_zW(p, e, z, {w}, w)
-
-
-def psi_zW(
-    p: int, e: int, z: int, allowed: set[int], assignment: dict | int
-) -> MultivariatePoly:
-    """A map equal to z at the all-zero tuple and valued in `allowed` elsewhere.
-
-    The off-zero values are never chosen silently: pass an explicit
-    assignment, either one constant or a full table keyed by the nonzero
-    digit tuples.
-    """
     if e < 2:
         raise InvalidInputError("psi needs e >= 2")
-    if not allowed:
-        raise InvalidInputError("the allowed value set must be nonempty")
-    arity = e - 1
-    allowed = {v % p for v in allowed}
-    table = []
-    for point in itertools.product(range(p), repeat=arity):
-        if all(c == 0 for c in point):
-            table.append(z % p)
-            continue
-        v = assignment if isinstance(assignment, int) else assignment.get(point)
-        if v is None:
-            raise InvalidInputError(f"assignment is missing the tuple {point}")
-        v %= p
-        if v not in allowed:
-            raise InvalidInputError(f"assigned value {v} at {point} is outside W")
-        table.append(v)
-    return from_table(p, arity, table)
-
-
-def full_monomial_coefficient(eta: MultivariatePoly) -> int:
-    """Coefficient of the all-(p-1) exponent tuple of eta."""
-    return eta.coeff((eta.p - 1,) * eta.arity)
+    return from_table(p, e - 1, [z % p] + [w % p] * (p ** (e - 1) - 1))
 
 
 def image_set(g: UnivariateFn) -> set[int]:

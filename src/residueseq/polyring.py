@@ -17,7 +17,6 @@ from .ringcore import RingContext
 
 __all__ = [
     "RingPolynomial",
-    "poly",
     "one",
     "x_poly",
     "poly_mulmod",
@@ -73,10 +72,6 @@ class RingPolynomial:
 
     def __str__(self) -> str:
         return format_poly_spec(self)
-
-
-def poly(ctx: RingContext, coeffs) -> RingPolynomial:
-    return RingPolynomial(ctx, tuple(coeffs))
 
 
 def one(ctx: RingContext) -> RingPolynomial:

@@ -49,11 +49,6 @@ def _search_order(f: RingPolynomial) -> int:
     return _lift_order(f, t) if t == p**f.degree - 1 else 0
 
 
-def is_primitive(f: RingPolynomial) -> bool:
-    """True iff the order of x mod f attains p^(e-1) * (p^n - 1)."""
-    return _qualifies(f, order_of_x(f))
-
-
 def compute_h(f: RingPolynomial, i: int) -> RingPolynomial:
     """Lift polynomial h_i with x^(p^(i-1)*T) = 1 + p^i * h_i mod f.
 
@@ -79,16 +74,6 @@ def compute_h(f: RingPolynomial, i: int) -> RingPolynomial:
             )
         h.append(c // q)
     return RingPolynomial(ctx, tuple(h))
-
-
-def is_strongly_primitive(f: RingPolynomial) -> bool:
-    """True iff the h_1 of a primitive f has degree >= 1 mod p; raises
-    InvalidInputError when f is not primitive or e < 2."""
-    if f.ctx.e < 2:
-        raise InvalidInputError(
-            "strong primitivity needs e >= 2; h_1 is undetermined over Z/p"
-        )
-    return certify(f).strongly_primitive
 
 
 @dataclass(frozen=True)

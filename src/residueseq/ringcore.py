@@ -64,18 +64,6 @@ def padic_expand(a: int, ctx: RingContext) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def padic_compose(digits, ctx: RingContext) -> int:
-    """Inverse of padic_expand: sum of digits[i] * p^i."""
-    if len(digits) != ctx.e:
-        raise InvalidInputError(f"expected {ctx.e} digits, got {len(digits)}")
-    value = 0
-    for d in reversed(digits):
-        if not 0 <= d < ctx.p:
-            raise InvalidInputError(f"digit {d} out of range [0, {ctx.p})")
-        value = value * ctx.p + d
-    return value
-
-
 @functools.lru_cache(maxsize=None)
 def digit_table(ctx: RingContext) -> tuple[tuple[int, ...], ...]:
     """Digit vectors of every residue in [0, p^e), indexed by residue."""

@@ -233,6 +233,12 @@ def least_period_divisor_scan(values) -> int:
     return length
 
 
+def s_uniform(u, v, s) -> bool:
+    """Whether level sequences u and v hit s at the same positions, read
+    one position at a time over a common period."""
+    return all((u.at(t) == s) == (v.at(t) == s) for t in range(math.lcm(u.period, v.period)))
+
+
 def scaled_uniform_scan_per_term(seqs, phi, lam, s):
     """_scaled_uniform_scan as a per-term loop: one comparison of phi(v) and
     phi(lam * v) against s per position, counting each position compared."""

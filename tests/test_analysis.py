@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import (
     equal_at_alpha_k,
+    s_uniform,
     scaled_uniform_scan_per_term,
     shift_classes_by_dict,
     verify_alpha_k_injectivity_per_state,
@@ -39,8 +40,6 @@ from residueseq.analysis import (
     legendre,
     legendre_sum,
     run_suite,
-    s_uniform,
-    s_uniform_witness,
     shift_classes,
     squares,
     thm8_mask_set,
@@ -105,22 +104,11 @@ def test_s_uniform_basics():
         assert s_uniform(u, v, s) == s_uniform(v, u, s)
     zero = level_sequence(3, [0])
     one_seq = level_sequence(3, [1])
-    assert s_uniform_witness(zero, one_seq, 0) == 0
-
-
-def test_s_uniform_marker_modes():
-    u = level_sequence(3, [0, 1, 2, 0])
-    v = level_sequence(3, [1, 1, 2, 2])
-    marker = level_sequence(3, [0, 1, 2, 1])
-    # disagreements at t = 0 (u hits 0) and t = 3 (v hits... both differ)
-    assert not s_uniform(u, v, 0)
-    # restricted to marker != 0 the t = 0 disagreement is masked
-    assert s_uniform_witness(u, v, 0, marker=marker) == 3
-    # restricted to marker == 1 only t in {1, 3} count
-    assert s_uniform_witness(u, v, 0, marker=marker, marker_value=1) == 3
-    assert s_uniform(u, v, 1, marker=marker, marker_value=2)
-    with pytest.raises(InvalidInputError):
-        s_uniform(u, v, 0, marker_value=1)
+    assert not s_uniform(zero, one_seq, 0)
+    assert s_uniform(zero, one_seq, 2)
+    # periods 4 and 2 agree on hitting 1 over t < 2; the common period
+    # reads the disagreement at t = 3
+    assert not s_uniform(u, level_sequence(3, [0, 1]), 1)
 
 
 def test_shift_classes_partition():
@@ -207,6 +195,10 @@ def test_fiber_classes_of_a_non_primitive_f_cover_or_raise(f, covers):
 
 
 def _no_atlas(*args, **kwargs):
+    raise AssertionError("the classes were read through _atlas")
+
+
+def _no_classes(*args, **kwargs):
     raise AssertionError("the classes were read past the first")
 
 
@@ -215,9 +207,11 @@ def test_lex_reps_are_the_shift_classes(monkeypatch, p, e, n):
     for f in itertools.islice(iter_primitive(RingContext(p, e), n), 3):
         reps, _ = shift_classes(f)
         with monkeypatch.context() as m:
-            m.setattr(analysis, "_atlas", _no_atlas)
+            m.setattr(analysis, "shift_classes", _no_classes)
             assert next(analysis._lex_reps(f)) == reps[0]
-        assert list(analysis._lex_reps(f)) == reps
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_atlas", _no_atlas)
+            assert list(analysis._lex_reps(f)) == reps
 
 
 def test_lex_reps_of_a_non_primitive_f_are_its_shift_classes():
@@ -237,6 +231,7 @@ def test_negation_suites_read_the_first_class_alone(monkeypatch, name, overrides
     # suites list no other class; the reports, as `verify` prints them in
     # JSON, are pinned by sha256
     monkeypatch.setattr(analysis, "_atlas", _no_atlas)
+    monkeypatch.setattr(analysis, "shift_classes", _no_classes)
     reports = run_suite(name, **overrides)
     out = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest

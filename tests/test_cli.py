@@ -132,12 +132,15 @@ def test_alpha_k_generator_of_another_degree_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ("primitive", "check", "--p", "3", "--e", "2", "--f", "8,x,1"),
     ("seq", "gen", "--p", "3", "--e", "2", "--f", "8,8,1", "--init", "a"),
+    # an empty entry is not skipped: no default primes, no shorter generator
+    ("verify", "carry", "--p", ""),
+    ("verify", "alpha-k", "--f", "8,,8,1"),
 ])
 def test_non_integer_lists_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "invalid _ints value" in capsys.readouterr().err
+    assert re.search(r"invalid _(distinct_)?ints value", capsys.readouterr().err)
 
 
 def test_primitive_find(capsys):
@@ -352,6 +355,34 @@ def test_flags_a_suite_would_ignore_exit_2(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert f"does not take {named}\n" in err
+
+
+SEQ = ("--p", "3", "--e", "2", "--f", "8,8,1", "--init", "0,1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("seq", "gen", *SEQ, "--map", "g=x"), "seq gen does not take --map"),
+    (("seq", "alpha", *SEQ, "--map", "g=x"), "seq alpha does not take --map"),
+    (("seq", "compress", *SEQ, "--map", "g=x; g=x^2"), "map spec defines g twice"),
+    (("seq", "compress", *SEQ, "--map", "g=x; eta=psi(0,1); eta=0"),
+     "map spec defines eta twice"),
+    (("primitive", "check", "--p", "3", "--e", "2", "--f", "8,8,1", "--n", "2"),
+     "primitive check does not take --n"),
+    (("primitive", "check", "--p", "3", "--e", "2", "--f", "8,8,1", "--budget", "5"),
+     "primitive check does not take --budget"),
+    (("primitive", "find", "--p", "3", "--e", "2", "--n", "2", "--f", "8,8,1"),
+     "primitive find does not take --f"),
+    (("primitive", "find", "--p", "3", "--e", "2", "--n", "2", "--poly", "p=3 e=2; f=8,8,1"),
+     "primitive find does not take --poly"),
+    (("primitive", "check", "--poly", "p=3 e=2; f=8,8,1", "--p", "5"),
+     "--poly does not take --p"),
+    (("seq", "gen", "--poly", "p=3 e=2; f=8,8,1", "--e", "3", "--f", "8,1", "--init", "0,1"),
+     "--poly does not take --e, --f"),
+])
+def test_flags_a_command_would_ignore_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"invalid input: {message}\n"
 
 
 @pytest.mark.parametrize("argv, overrides", [

@@ -12,17 +12,14 @@ from residueseq.compress import (
     CompressingMap,
     MultivariatePoly,
     compress_sequence,
-    constant_poly,
     eval_map,
     format_multipoly,
     from_table,
-    full_monomial_coefficient,
     image_set,
     is_permutation,
     multipoly_from_json,
     multipoly_to_json,
     parse_multipoly,
-    psi_zW,
     psi_zw,
     value_table,
     zero_poly,
@@ -77,12 +74,14 @@ def test_from_table_exhaustive_arity1():
 
 
 def test_psi_zw_examples():
-    assert psi_zw(3, 2, 2, 2) == constant_poly(3, 1, 2)
+    assert psi_zw(3, 2, 2, 2) == MultivariatePoly(3, 1, {(0,): 2})
     m = psi_zw(3, 2, 1, 2)
     assert m.coeffs == {(0,): 1, (2,): 1}  # x0^2 + 1
     assert m.table() == (1, 2, 2)
     m = psi_zw(3, 3, 0, 1)
     assert [pt for pt in itertools.product(range(3), repeat=2) if m(pt) == 0] == [(0, 0)]
+    with pytest.raises(InvalidInputError):
+        psi_zw(3, 1, 0, 1)  # no lower level to mask
 
 
 def test_psi_zw_matches_interpolated_table():
@@ -100,19 +99,6 @@ def test_psi_zw_matches_interpolated_table():
                 assert direct == psi_zw_expanded(p, e, z, w), (p, e, z, w)
 
 
-def test_psi_zW():
-    # singleton W forces the two-valued map
-    assert psi_zW(3, 2, 1, {2}, 2) == psi_zw(3, 2, 1, 2)
-    m = psi_zW(3, 2, 0, {1, 2}, {(1,): 1, (2,): 2})
-    assert m.coeffs == {(1,): 1}  # the identity function x0
-    with pytest.raises(InvalidInputError):
-        psi_zW(3, 2, 0, {1}, {(1,): 1, (2,): 2})
-    with pytest.raises(InvalidInputError):
-        psi_zW(3, 2, 0, {1, 2}, {(1,): 1})
-    with pytest.raises(InvalidInputError):
-        psi_zW(3, 2, 0, set(), 1)
-
-
 def test_image_and_permutation():
     assert image_set(UnivariateFn(5, (0, 1))) == {0, 1, 2, 3, 4}
     assert is_permutation(UnivariateFn(5, (0, 1)))
@@ -122,8 +108,9 @@ def test_image_and_permutation():
 
 
 def test_full_monomial_coefficient():
-    assert full_monomial_coefficient(psi_zw(3, 2, 1, 2)) == 1  # w - z
-    assert full_monomial_coefficient(zero_poly(3, 1)) == 0
+    # the coefficient of the all-(p-1) exponent tuple
+    assert psi_zw(3, 2, 1, 2).coeff((2,)) == 1  # w - z
+    assert zero_poly(3, 1).coeff((2,)) == 0
     # the uniformity threshold value for p = 3, e = 2
     assert (-1) ** 2 * (3 + 1) // 2 % 3 == 2
 

@@ -21,8 +21,6 @@ from residueseq.primitivity import (
     certify,
     compute_h,
     find_primitive,
-    is_primitive,
-    is_strongly_primitive,
     iter_monic_polys,
     iter_primitive,
     order_and_certificate,
@@ -34,10 +32,14 @@ Z3 = RingContext(3, 1)
 FIB9 = RingPolynomial(Z9, (8, 8, 1))
 
 
+def _is_primitive(f: RingPolynomial) -> bool:
+    return order_and_certificate(f)[1] is not None
+
+
 def test_is_primitive_examples():
-    assert is_primitive(FIB9)
-    assert not is_primitive(RingPolynomial(Z9, (8, 1)))      # x - 1
-    assert not is_primitive(RingPolynomial(Z9, (8, 0, 1)))   # x^2 - 1
+    assert _is_primitive(FIB9)
+    assert not _is_primitive(RingPolynomial(Z9, (8, 1)))      # x - 1
+    assert not _is_primitive(RingPolynomial(Z9, (8, 0, 1)))   # x^2 - 1
 
 
 @pytest.mark.parametrize("f, message", [
@@ -48,10 +50,9 @@ def test_is_primitive_examples():
 @pytest.mark.parametrize("call", [
     lambda f: generate(f, (0, 1)),
     order_of_x,
-    is_primitive,
     lambda f: compute_h(f, 1),
     order_and_certificate,
-], ids=["generate", "order_of_x", "is_primitive", "compute_h", "order_and_certificate"])
+], ids=["generate", "order_of_x", "compute_h", "order_and_certificate"])
 def test_every_entry_point_rejects_a_non_generator(f, message, call):
     # one check, RingPolynomial.check_generator, with one message per condition
     with pytest.raises(InvalidInputError, match=re.escape(message)):
@@ -98,15 +99,15 @@ def test_compute_h_flags_non_primitive():
 
 
 def test_strongly_primitive():
-    assert is_strongly_primitive(FIB9)
+    assert certify(FIB9).strongly_primitive
     weak = [f for f in iter_primitive(Z9, 2) if reduce_mod_p(compute_h(f, 1)).degree == 0]
     assert weak, "some primitive lift has a constant h_1 mod p"
     for f in weak:
-        assert not is_strongly_primitive(f)
+        assert not certify(f).strongly_primitive
+    # over Z/p, h_1 is undetermined, so no generator is strongly primitive
+    assert not certify(RingPolynomial(Z3, (2, 2, 1))).strongly_primitive
     with pytest.raises(InvalidInputError):
-        is_strongly_primitive(RingPolynomial(Z3, (2, 2, 1)))  # needs e >= 2
-    with pytest.raises(InvalidInputError):
-        is_strongly_primitive(RingPolynomial(Z9, (8, 1)))     # not primitive
+        certify(RingPolynomial(Z9, (8, 1)))     # not primitive
 
 
 def test_certify():
@@ -211,7 +212,7 @@ def test_primitivity_agrees_with_sympy_over_prime_fields():
         }
         assert {f.coeffs for f in iter_primitive(ctx, n)} == expected
         for f in iter_monic_polys(ctx, n):
-            assert is_primitive(f) == (f.coeffs in expected)
+            assert _is_primitive(f) == (f.coeffs in expected)
         assert expected
 
 

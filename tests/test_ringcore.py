@@ -13,7 +13,6 @@ from residueseq.ringcore import (
     carry_map_poly,
     format_univariate,
     interpolate,
-    padic_compose,
     padic_expand,
     parse_univariate,
 )
@@ -52,7 +51,7 @@ def test_padic_expand_rejects_noncanonical():
 def test_padic_roundtrip(pe, data):
     ctx = RingContext(*pe)
     a = data.draw(st.integers(min_value=0, max_value=ctx.modulus - 1))
-    assert padic_compose(padic_expand(a, ctx), ctx) == a
+    assert sum(d * ctx.p**i for i, d in enumerate(padic_expand(a, ctx))) == a
 
 
 def test_carry_examples():
