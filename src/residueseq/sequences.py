@@ -128,6 +128,14 @@ def _walk(f: RingPolynomial, init: tuple[int, ...]) -> list[int]:
     raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
 
 
+def _little(slots: array) -> array:
+    # the slots with little-endian bytes on every host, so that slot t of a
+    # packed int sits at bits t*w; byteswap is its own inverse
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
 @functools.lru_cache(maxsize=2)
 def _basis(f: RingPolynomial):
     """(typecode, byte length, (P_0, ..., P_{n-1}), mu, shift, quotient
@@ -138,11 +146,14 @@ def _basis(f: RingPolynomial):
     The impulse u, the sequence from (0, ..., 0, 1), is walked once; its
     length L = per(f) is a multiple of every period of f. Its rotation by j
     starts from the state (u(j), ..., u(j+n-1)): zero below entry n-1-j and
-    one there. So back-substitution, j = 0, 1, ..., n-1, gives the
-    unit-state sequence E_(n-1-j) as that rotation minus u(j+k) E_k for
-    k > n-1-j. P_k packs E_k, one term per slot of the array type.
+    one there. P_k packs E_k, the sequence from the k-th unit state, one
+    term per w-bit slot of the array type, little-endian. With U the packed
+    u, the rotation by j is (U >> j*w) | (U << (L-j)*w) & full, and
+    back-substitution, j = 0, 1, ..., n-1, gives P_(n-1-j) as that rotation
+    plus ((m - u(j+k)) mod m) P_k for each k > n-1-j, then one Barrett step.
 
-    A combination sum s_k P_k holds at most S = n*(m-1)^2 in a slot. With
+    A combination sum s_k P_k holds at most S = n*(m-1)^2 in a slot, and so
+    does a row before its Barrett step, (m-1) + (n-1)*(m-1)^2. With
     2^shift > S*m and mu = ceil(2^shift / m), (x * mu) >> shift = x // m for
     every slot value x <= S (one Barrett step, exact), and the slot width
     holds S*mu, so the quotients come from one multiply of the packed int.
@@ -155,20 +166,17 @@ def _basis(f: RingPolynomial):
     if typecode is None:
         return None
     u = _walk(f, (0,) * (n - 1) + (1,))
-    units: dict[int, list[int]] = {}
+    length, w = len(u), 8 * array(typecode).itemsize
+    full = (1 << length * w) - 1
+    mask = full // ((1 << w) - 1) * ((1 << (w - shift)) - 1)
+    packed = int.from_bytes(_little(array(typecode, u)).tobytes(), "little")
+    units = [0] * n
     for j in range(n):
-        rotated = row = u[j:] + u[:j]
+        row = packed >> j * w | packed << (length - j) * w & full
         for k in range(n - j, n):
-            row = [(a - rotated[k] * b) % m for a, b in zip(row, units[k])]
-        units[n - 1 - j] = row
-
-    def pack(values) -> int:
-        return int.from_bytes(array(typecode, values).tobytes(), sys.byteorder)
-
-    width = 8 * array(typecode).itemsize
-    mask = pack([(1 << (width - shift)) - 1] * len(u))
-    return (typecode, len(u) * width // 8, tuple(pack(units[k]) for k in range(n)),
-            mu, shift, mask)
+            row += (-u[(j + k) % length]) % m * units[k]
+        units[n - 1 - j] = row - m * (row * mu >> shift & mask)
+    return typecode, length * w // 8, tuple(units), mu, shift, mask
 
 
 def generate(f: RingPolynomial, init) -> LRSequence:
@@ -178,8 +186,10 @@ def generate(f: RingPolynomial, init) -> LRSequence:
     sequence of f is purely periodic. The terms are the combination
     sum s_k P_k of the packed unit-state sequences of _basis(f), over one
     period of the impulse, reduced mod m slot by slot and cut to their
-    least period; when no native slot holds the combination, the state is
-    walked a term at a time.
+    least period. When m <= 256 every term is the low byte of its slot, so
+    a strided slice of the sum's little-endian bytes reads one period;
+    larger rings unpack the slots through the array type. When no native
+    slot holds the combination, the state is walked a term at a time.
     """
     f.check_generator()
     n, m = f.degree, f.ctx.modulus
@@ -193,7 +203,11 @@ def generate(f: RingPolynomial, init) -> LRSequence:
         typecode, nbytes, units, mu, shift, mask = basis
         total = sum(map(operator.mul, init, units))
         total -= m * (total * mu >> shift & mask)
-        terms = array(typecode, total.to_bytes(nbytes, sys.byteorder)).tolist()
+        data = total.to_bytes(nbytes, "little")
+        if m <= 256:
+            terms = data[::array(typecode).itemsize]
+        else:
+            terms = _little(array(typecode, data)).tolist()
         terms = terms[:least_period(terms)]
     return LRSequence(f=f, initial_state=init, terms=tuple(terms), period=len(terms))
 

@@ -104,6 +104,23 @@ def generate_loop(f: RingPolynomial, init) -> LRSequence:
     return LRSequence(f=f, initial_state=init, terms=tuple(terms[:t]), period=t)
 
 
+def unit_rows(f: RingPolynomial) -> list[list[int]]:
+    """The unit-state sequences E_0, ..., E_(n-1) of f over one period L of
+    the impulse u, the sequence from (0, ..., 0, 1), by back-substitution on
+    lists: the rotation of u by j starts from (u(j), ..., u(j+n-1)), zero
+    below entry n-1-j and one there, so E_(n-1-j) is that rotation minus
+    u(j+k) E_k for k > n-1-j, j = 0, 1, ..., n-1, a term at a time mod m."""
+    n, m = f.degree, f.ctx.modulus
+    u = list(generate_loop(f, (0,) * (n - 1) + (1,)).terms)
+    units: dict[int, list[int]] = {}
+    for j in range(n):
+        rotated = row = u[j:] + u[:j]
+        for k in range(n - j, n):
+            row = [(a - rotated[k] * b) % m for a, b in zip(row, units[k])]
+        units[n - 1 - j] = row
+    return [units[k] for k in range(n)]
+
+
 def period_failure_all_levels(ctx: RingContext, n: int):
     """_period_failure with every level, level 0 included, built by `level`:
     the first shift class of a primitive f of degree n, over all states,

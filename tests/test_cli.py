@@ -232,6 +232,34 @@ def test_alpha_k_p5_matches_bench_reference_digest(capsys, seed):
     assert digest == digests["workloads"]["alpha-k-p5"]["stdout_sha256"][seed]
 
 
+def test_benchmark_tracer_runs_verify_all_unchanged(tmp_path):
+    # bench/traced.py wraps every layer it names and reads the results of
+    # two: len(seq.terms) and the hashable seq.initial_state of each
+    # generate, and the reps of shift_classes' (reps, walked). A name or a
+    # shape that drifts from it fails here, not first in a traced benchmark
+    # run whose last line is then no result
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    env.pop("RESIDUESEQ_BUDGET", None)
+    argv = ["verify", "all", "--seed", "0"]
+    spans = tmp_path / "verify-all.spans"
+    traced = subprocess.run([sys.executable, str(root / "bench" / "traced.py"), str(spans), *argv],
+                            capture_output=True, env=env, cwd=root, timeout=120)
+    untraced = subprocess.run([sys.executable, "-m", "residueseq", *argv],
+                              capture_output=True, env=env, cwd=root, timeout=120)
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert untraced.returncode == 0, untraced.stderr.decode()
+    assert traced.stdout == untraced.stdout
+    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
+    digest = reference["workloads"]["verify-all"]["stdout_sha256"]["0"]
+    assert hashlib.sha256(traced.stdout).hexdigest() == digest
+    meta = json.loads(Path(f"{spans}.json").read_text(encoding="utf-8"))
+    assert meta["absent"] == []
+    assert meta["counters"]["sequences.generate.terms"] > 0
+    assert meta["counters"]["analysis.shift_classes.classes"] > 0
+
+
 @pytest.mark.parametrize("budget, seed, digest", [
     ("4130", "3", "e529e7056103233dbc4596e65861f0906ccd1ef42463480395450f6ddff46764"),
     ("1", "4", "f8beb80b4dc2ded99ae44d6b76d4203be3d0ef2e98041f9dcc82c29238dfebce"),

@@ -11,6 +11,7 @@ from oracles import (
     generate_loop,
     identity_failure_per_j,
     least_period_divisor_scan,
+    unit_rows,
 )
 from residueseq.analysis import _sample_primitive_states
 from residueseq.errors import InvalidInputError
@@ -112,10 +113,12 @@ def test_generate_matches_the_tuple_state_oracle(ring, primitive, data):
     assert generate(ones, (m - 1,) * n) == generate_by_tuple_state(ones, (m - 1,) * n)
 
 
-# every (p, e, n) in {3, 5, 7} x {1, 2, 3} x {1, 2, 3}, one n = 4, and p = 65537,
-# where no native slot holds the combination and generate walks the terms
+# every (p, e, n) in {3, 5, 7} x {1, 2, 3} x {1, 2, 3}, one n = 4, the moduli
+# 243 and 289 on either side of 256, where generate stops reading one byte per
+# slot, and p = 65537, where no native slot holds the combination and generate
+# walks the terms
 BASIS_RINGS = [(p, e, n) for p in (3, 5, 7) for e in (1, 2, 3) for n in (1, 2, 3)]
-BASIS_RINGS += [(3, 2, 4), (65537, 1, 1)]
+BASIS_RINGS += [(3, 2, 4), (3, 5, 2), (17, 2, 2), (65537, 1, 1)]
 
 
 @pytest.mark.parametrize("p,e,n", BASIS_RINGS)
@@ -132,11 +135,34 @@ def test_generate_matches_the_term_loop(p, e, n, data):
         assert generate(f, state) == generate_loop(f, state)
 
 
+@pytest.mark.parametrize("p,e,n", [r for r in BASIS_RINGS if r[0] != 65537])
+def test_basis_rows_match_the_list_back_substitution(p, e, n):
+    # the packed rows of _basis, read slot t at bits t*w, are the unit-state
+    # sequences E_k over one period of the impulse: those of the list
+    # back-substitution and those generate_loop walks from each unit state
+    ctx = RingContext(p, e)
+    m = ctx.modulus
+    rng = random.Random(100 * p + 10 * e + n)
+    fs = [_first_primitive(p, e, n)]
+    for _ in range(2):  # monic with a unit constant term, primitive or not
+        unit = rng.choice([c for c in range(m) if c % p])
+        fs.append(RingPolynomial(ctx, (unit, *(rng.randrange(m) for _ in range(n - 1)), 1)))
+    for f in fs:
+        typecode, nbytes, units = _basis(f)[:3]
+        w = 8 * array(typecode).itemsize
+        rows = [[row >> t * w & (1 << w) - 1 for t in range(8 * nbytes // w)] for row in units]
+        assert rows == unit_rows(f)
+        for k, row in enumerate(rows):
+            seq = generate_loop(f, tuple(int(i == k) for i in range(n)))
+            assert row == [seq.at(t) for t in range(len(row))]
+
+
 @pytest.mark.parametrize("p,e,n,size", [(3, 1, 1, 1), (3, 2, 2, 2), (7, 2, 2, 4),
-                                        (7, 3, 3, 8), (65537, 1, 1, None)])
+                                        (7, 3, 3, 8), (3, 5, 3, 8), (65537, 1, 1, None)])
 def test_generate_slot_widths_and_barrett_step(p, e, n, size):
     # the narrowest native slot that holds n*(m-1)^2 * mu, or none; one
-    # Barrett step gives x // m for every slot value x up to n*(m-1)^2
+    # Barrett step gives x // m for every slot value x up to n*(m-1)^2. At
+    # p^e = 243 the 8-byte slots are read one low byte at stride 8
     f = _first_primitive(p, e, n)
     m = f.ctx.modulus
     basis = _basis(f)
