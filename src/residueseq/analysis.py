@@ -406,18 +406,19 @@ def verify_alpha_k_injectivity(
     for j, ia in enumerate(walk):
         done, fails = walked[keys[j]]
         if fails:
-            (ci, cut), (_, r) = keys[j], divmod(slots[ia], period)
-            rep, abit = rep_masks(ci), 1 << slots[ia]
-            row = [rotated(mask, period - r) for mask in rep[cut:] + rep[:cut]]
-            _, agreeing = _walk_row(full, abit, row)
-            flags = format(agreeing & ~abit, f"0{total}b")[::-1]  # flags[i] is bit i
-            ib = next(ib for ib, b in enumerate(slots) if flags[b] == "1")
-            # the pairwise scan stops at (a, b): recount a's row up to it
-            upto = bytearray(b"0" * total)
-            for b in slots[:ib + 1]:
-                upto[~b] = ord("1")
-            done, _ = _walk_row(int(upto, 2), abit, row)
-            checked += done
+            # the pairwise scan of row a: each b in lex order, compared at
+            # a's k-positions in a's frame up to the first mismatch, until
+            # the first b other than a that agrees at all of them
+            ci, r = divmod(slots[ia], period)
+            ts = sorted((t - r) % period for t in marks[ci])
+            seen = [rows[ci][(t + r) % period] for t in ts]
+            for ib, b in enumerate(slots):
+                row, rb = rows[b // period], b % period
+                miss = next((i for i, (t, v) in enumerate(zip(ts, seen))
+                             if row[(t + rb) % period] != v), None)
+                checked += len(ts) if miss is None else miss + 1
+                if miss is None and ib != ia:
+                    break
             pairs = j * total + ib + 1
             states = (divmod(slots[i], period) for i in (ia, ib))
             a_state, b_state = (list(reps[c].state_at(s)) for c, s in states)

@@ -13,7 +13,6 @@ import csv
 import inspect
 import io
 import json
-import os
 import sys
 
 from .errors import InvalidInputError
@@ -37,8 +36,6 @@ from .compress import (
 )
 from . import analysis
 
-BUDGET_ENV = "RESIDUESEQ_BUDGET"
-
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
@@ -52,20 +49,6 @@ def _distinct_ints(text: str) -> tuple[int, ...]:
     return values
 
 
-# the verify flags that set suite parameters: flag -> (argparse type, help,
-# the parameters its value can set; a suite takes those it has). The
-# parser, the flag check and the replay line all read this one table.
-SUITE_FLAGS = {
-    "--p": (_distinct_ints, "comma-separated prime list",
-            lambda ps: {"ps": ps, "p": ps[0]} if len(ps) == 1 else {"ps": ps}),
-    "--e": (int, None, lambda e: {"e": e, "es": (e,)}),
-    "--n": (int, None, lambda n: {"n": n}),
-    "--f": (_ints, "fix the generator (comma-separated)", lambda f: {"f_coeffs": f}),
-    "--deg-g": (int, None, lambda deg_g: {"deg_g": deg_g}),
-    "--k": (_distinct_ints, "comma-separated marker values", lambda ks: {"ks": ks}),
-}
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -73,27 +56,35 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _flags_given(args, flags=SUITE_FLAGS):
-    """(flag, value) for each of flags given a value, in their order."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            yield flag, value
-
-
-def _reject(args, flags, taker: str) -> None:
-    """A flag among flags that taker would ignore is invalid input, not
-    silently ignored."""
-    ignored = [flag for flag, _ in _flags_given(args, flags)]
-    if ignored:
-        raise InvalidInputError(f"{taker} does not take {', '.join(ignored)}")
+# suite parameter -> (flag, add_argument keywords). A verify sub-command
+# declares the flag of each parameter its suite takes (`all`: the budget)
+# and --seed; the overrides passed to run_suite and the replay line read
+# this table too, in its order. --e gives `es` its one value as a list.
+SUITE_FLAGS = {
+    "ps": ("--p", {"type": _distinct_ints, "help": "comma-separated prime list"}),
+    "p": ("--p", {"type": int}),
+    "es": ("--e", {"type": int, "nargs": 1}),
+    "e": ("--e", {"type": int}),
+    "n": ("--n", {"type": int}),
+    "f_coeffs": ("--f", {"type": _ints, "help": "fix the generator (comma-separated)"}),
+    "deg_g": ("--deg-g", {"type": int}),
+    "ks": ("--k", {"type": _distinct_ints, "help": "comma-separated marker values"}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "budget": ("--budget", {
+        "type": positive_int, "default": analysis.DEFAULT_BUDGET,
+        "help": "work budget (default %(default)s): 64-bit mask words for alpha-k; "
+                "for thm9, p^e table entries per s plus the positions its failing "
+                "walks read; over it they sample"}),
+}
 
 
 def _resolve_poly(args) -> RingPolynomial:
+    given = [flag for flag in ("--p", "--e", "--f") if getattr(args, flag[2:]) is not None]
     if args.poly is not None:
-        _reject(args, ("--p", "--e", "--f"), "--poly")
+        if given:
+            raise InvalidInputError(f"--poly does not take {', '.join(given)}")
         return parse_poly_spec(args.poly)
-    if args.p is None or args.e is None or args.f is None:
+    if len(given) < 3:
         raise InvalidInputError("give either --poly or all of --p, --e, --f")
     ctx = RingContext(args.p, args.e)
     return RingPolynomial(ctx, tuple(ctx.check(c) for c in args.f))
@@ -159,31 +150,25 @@ def _write_csv(rows) -> str:
     return buf.getvalue()
 
 
-def cmd_primitive(args) -> int:
-    if args.action == "check":
-        _reject(args, ("--n", "--budget"), "primitive check")
-        f = _resolve_poly(args)
-        period, cert = order_and_certificate(f)
-        if cert is not None:
-            payload = certificate_to_dict(cert)
-            ok = cert.strongly_primitive if args.strong else True
-        else:
-            payload = {
-                "p": f.ctx.p, "e": f.ctx.e, "n": f.degree,
-                "f": list(f.coeffs), "period": period, "primitive": False,
-            }
-            ok = False
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-        return 0 if ok else 1
-    # find
-    _reject(args, ("--f", "--poly"), "primitive find")
-    if args.p is None or args.e is None or args.n is None:
-        raise InvalidInputError("primitive find needs --p, --e and --n")
-    ctx = RingContext(args.p, args.e)
-    cert = find_primitive(
-        ctx, args.n, strongly=args.strong,
-        search_budget=args.budget or DEFAULT_SEARCH_BUDGET, seed=args.seed,
-    )
+def cmd_check(args) -> int:
+    f = _resolve_poly(args)
+    period, cert = order_and_certificate(f)
+    if cert is not None:
+        payload = certificate_to_dict(cert)
+        ok = cert.strongly_primitive if args.strong else True
+    else:
+        payload = {
+            "p": f.ctx.p, "e": f.ctx.e, "n": f.degree,
+            "f": list(f.coeffs), "period": period, "primitive": False,
+        }
+        ok = False
+    _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+    return 0 if ok else 1
+
+
+def cmd_find(args) -> int:
+    cert = find_primitive(RingContext(args.p, args.e), args.n, strongly=args.strong,
+                          search_budget=args.budget, seed=args.seed)
     if cert is None:
         sys.stderr.write("no qualifying polynomial found within the budget\n")
         return 1
@@ -192,8 +177,6 @@ def cmd_primitive(args) -> int:
 
 
 def cmd_seq(args) -> int:
-    if args.action != "compress":
-        _reject(args, ("--map",), f"seq {args.action}")
     f = _resolve_poly(args)
     seq = generate(f, args.init)
     alpha = None
@@ -201,10 +184,7 @@ def cmd_seq(args) -> int:
     if args.action == "alpha":
         alpha = alpha_sequence(seq, certify(f))
     elif args.action == "compress":
-        if not args.map:
-            raise InvalidInputError("seq compress needs --map")
-        m = _parse_map_spec(args.map, f.ctx.p, f.ctx.e)
-        phi = compress_sequence(m, seq)
+        phi = compress_sequence(_parse_map_spec(args.map, f.ctx.p, f.ctx.e), seq)
     _emit(_write_csv(dump_rows(seq, alpha=alpha, phi=phi)), args.out)
     return 0
 
@@ -231,60 +211,46 @@ def _reports_payload(reports, fmt: str, include_timing: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _suite_params(suite: str):
-    """The parameters a suite takes; `all` takes the budget and the seed."""
-    if suite == "all":
-        return ("budget", "seed")
-    return inspect.signature(analysis.SUITES[suite]).parameters
-
-
 def _suite_overrides(args) -> dict:
-    """The suite parameters that the verify flags set. A flag the suite
-    has no parameter for is invalid input, not silently ignored."""
-    takes = _suite_params(args.suite)
-    offers = {flag: SUITE_FLAGS[flag][2](value) for flag, value in _flags_given(args)}
-    ignored = [flag + (" with more than one prime" if flag == "--p" and "p" in takes else "")
-               for flag, params in offers.items() if params and not params.keys() & takes]
-    if args.budget and "budget" not in takes:
-        ignored.append("--budget")
-    if ignored:
-        raise InvalidInputError(f"verify {args.suite} does not take {', '.join(ignored)}")
-    return {k: v for params in offers.values() for k, v in params.items() if k in takes}
+    """The suite parameters that the verify flags set, in SUITE_FLAGS
+    order: those given, the seed and, for a suite that reads it, the
+    budget in effect."""
+    return {param: getattr(args, param) for param in SUITE_FLAGS
+            if getattr(args, param, None) is not None}
 
 
-def _repro_line(args, budget: int) -> str:
-    """The verify command that replays this run: the suite, every flag
-    that set a suite parameter, the seed and, for a suite that reads it,
-    the budget in effect."""
-    bits = ["residueseq verify", args.suite]
-    for flag, value in _flags_given(args):
-        value = ",".join(map(str, value)) if isinstance(value, tuple) else value
-        bits.append(f"{flag} {value}")
-    bits.append(f"--seed {args.seed}")
-    if "budget" in _suite_params(args.suite):
-        bits.append(f"--budget {budget}")
+def _repro_line(suite: str, overrides: dict) -> str:
+    """The verify command that replays a run of suite with overrides."""
+    bits = ["residueseq verify", suite]
+    for param, value in overrides.items():
+        if isinstance(value, (tuple, list)):
+            value = ",".join(map(str, value))
+        bits.append(f"{SUITE_FLAGS[param][0]} {value}")
     return " ".join(bits)
 
 
 def cmd_verify(args) -> int:
-    budget = analysis.DEFAULT_BUDGET  # the suites that take no budget never read it
-    if "budget" in _suite_params(args.suite):
-        env = os.environ.get(BUDGET_ENV, str(budget))
-        try:
-            budget = args.budget or positive_int(env)
-        except ValueError:
-            raise InvalidInputError(f"${BUDGET_ENV} must be a positive integer, got {env!r}") from None
-    reports = analysis.run_suite(args.suite, budget=budget, seed=args.seed,
-                                 **_suite_overrides(args))
+    overrides = _suite_overrides(args)
+    reports = analysis.run_suite(args.suite, **overrides)
     _emit(_reports_payload(reports, args.format, args.timing), args.out)
     failing = [r for r in reports if not r.holds]
     for report in failing:
         sys.stderr.write(f"fails: {report.experiment}; reproduce with: "
-                         f"{_repro_line(args, budget)}\n")
+                         f"{_repro_line(args.suite, overrides)}\n")
     return 1 if failing else 0
 
 
+def _poly_flags(parser) -> None:
+    """The generator, as --p, --e and --f or as one --poly spec."""
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--e", type=int)
+    parser.add_argument("--f", type=_ints, help="comma-separated coefficients, constant first")
+    parser.add_argument("--poly", help="full spec, e.g. 'p=3 e=2; f=8,8,1'")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-command per action and per suite, each declaring only the
+    flags it reads: argparse rejects any other flag (exit 2)."""
     parser = argparse.ArgumentParser(
         prog="residueseq",
         description="Linear recurring sequences modulo odd prime powers: "
@@ -294,44 +260,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     prim = sub.add_parser("primitive", help="certificates for generators")
-    prim.add_argument("action", choices=("check", "find"))
-    prim.add_argument("--p", type=int)
-    prim.add_argument("--e", type=int)
-    prim.add_argument("--n", type=int)
-    prim.add_argument("--f", type=_ints, help="comma-separated coefficients, constant first")
-    prim.add_argument("--poly", help="full spec, e.g. 'p=3 e=2; f=8,8,1'")
-    prim.add_argument("--strong", action="store_true")
-    prim.add_argument("--seed", type=int, default=0)
-    prim.add_argument("--budget", type=positive_int)
-    prim.add_argument("--out")
-    prim.set_defaults(func=cmd_primitive)
+    actions = prim.add_subparsers(dest="action", required=True)
+    check = actions.add_parser("check", allow_abbrev=False)
+    _poly_flags(check)
+    check.add_argument("--strong", action="store_true")
+    check.add_argument("--out")
+    check.set_defaults(func=cmd_check)
+    find = actions.add_parser("find", allow_abbrev=False)
+    for flag in ("--p", "--e", "--n"):
+        find.add_argument(flag, type=int, required=True)
+    find.add_argument("--strong", action="store_true")
+    find.add_argument("--seed", type=int, default=0)
+    find.add_argument("--budget", type=positive_int, default=DEFAULT_SEARCH_BUDGET)
+    find.add_argument("--out")
+    find.set_defaults(func=cmd_find)
 
     seq = sub.add_parser("seq", help="sequence tables as CSV")
-    seq.add_argument("action", choices=("gen", "alpha", "compress"))
-    seq.add_argument("--p", type=int)
-    seq.add_argument("--e", type=int)
-    seq.add_argument("--f", type=_ints, help="comma-separated coefficients, constant first")
-    seq.add_argument("--poly")
-    seq.add_argument("--init", type=_ints, required=True, help="comma-separated initial state")
-    seq.add_argument("--map", help="e.g. 'g=x^2; eta=psi(0,1)'")
-    seq.add_argument("--out")
-    seq.set_defaults(func=cmd_seq)
+    actions = seq.add_subparsers(dest="action", required=True)
+    for action in ("gen", "alpha", "compress"):
+        cmd = actions.add_parser(action, allow_abbrev=False)
+        _poly_flags(cmd)
+        cmd.add_argument("--init", type=_ints, required=True, help="comma-separated initial state")
+        if action == "compress":
+            cmd.add_argument("--map", required=True, help="e.g. 'g=x^2; eta=psi(0,1)'")
+        cmd.add_argument("--out")
+        cmd.set_defaults(func=cmd_seq)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=analysis.SUITE_NAMES)
-    for flag, (kind, help_text, _) in SUITE_FLAGS.items():
-        verify.add_argument(flag, type=kind, help=help_text)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--budget", type=positive_int,
-                        help="work budget: 64-bit mask words for alpha-k; for thm9, "
-                             "p^e table entries per s plus the positions its failing "
-                             f"walks read; over it they sample (or ${BUDGET_ENV}); "
-                             "the other suites reject it")
-    verify.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    verify.add_argument("--timing", action="store_true",
-                        help="include wall-time in reports (breaks byte determinism)")
-    verify.add_argument("--out")
-    verify.set_defaults(func=cmd_verify)
+    suites = verify.add_subparsers(dest="suite", required=True)
+    for name in analysis.SUITE_NAMES:
+        cmd = suites.add_parser(name, allow_abbrev=False)
+        # SUITES, not the module attributes, which a tracer may wrap; `all`
+        # is no SUITES entry
+        suite = analysis.SUITES.get(name)
+        takes = inspect.signature(suite).parameters if suite else ("budget",)
+        for param, (flag, options) in SUITE_FLAGS.items():
+            if param in takes or param == "seed":
+                cmd.add_argument(flag, dest=param, **options)
+        cmd.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        cmd.add_argument("--timing", action="store_true",
+                         help="include wall-time in reports (breaks byte determinism)")
+        cmd.add_argument("--out")
+        cmd.set_defaults(func=cmd_verify)
     return parser
 
 

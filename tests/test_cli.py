@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import importlib.util
+import inspect
 import json
 import os
 import random
@@ -18,7 +20,11 @@ from residueseq.ringcore import RingContext, UnivariateFn
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """main's exit status, stdout and stderr, also when argparse rejects argv."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -241,7 +247,6 @@ def test_benchmark_tracer_runs_verify_all_unchanged(tmp_path):
     root = Path(__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    env.pop("RESIDUESEQ_BUDGET", None)
     argv = ["verify", "all", "--seed", "0"]
     spans = tmp_path / "verify-all.spans"
     traced = subprocess.run([sys.executable, str(root / "bench" / "traced.py"), str(spans), *argv],
@@ -322,26 +327,28 @@ def test_verify_timing_flag_adds_ms(capsys):
     assert "ms" not in json.loads(out)[0]
 
 
-def test_verify_budget_forces_sampling(capsys, monkeypatch):
-    monkeypatch.setenv("RESIDUESEQ_BUDGET", "100")
+def test_verify_budget_forces_sampling(capsys):
     code, out, _ = run_cli(capsys, "verify", "alpha-k", "--p", "3", "--e", "2",
-                           "--n", "2", "--f", "8,8,1", "--k", "1")
+                           "--n", "2", "--f", "8,8,1", "--k", "1", "--budget", "100")
     assert code == 0
     reports = json.loads(out)
     assert all(r["sampled"] for r in reports)
 
 
-def test_verify_budget_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("RESIDUESEQ_BUDGET", "100")
-    code, out, _ = run_cli(capsys, "verify", "alpha-k", "--p", "3", "--e", "2",
-                           "--n", "2", "--f", "8,8,1", "--k", "1",
-                           "--budget", "100000000")
-    assert code == 0
-    assert not any(r["sampled"] for r in json.loads(out))
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "100"])
+def test_budget_env_is_not_read(capsys, monkeypatch, value):
+    # --budget is the one way to set the budget: an environment variable of
+    # the old name, valid or not, changes nothing (100 would sample alpha-k)
+    argvs = (("alpha-k", "--p", "3", "--f", "8,8,1", "--k", "1"), ("thm9", "--p", "5"))
+    unset = [run_cli(capsys, "verify", *argv) for argv in argvs]
+    monkeypatch.setenv("RESIDUESEQ_BUDGET", value)
+    assert [run_cli(capsys, "verify", *argv) for argv in argvs] == unset
+    assert all(code == 0 and err == "" for code, _, err in unset)
+    assert not any(r["sampled"] for _, out, _ in unset for r in json.loads(out))
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "carry", "--p", "3"),
+    ("verify", "thm9", "--p", "5"),
     ("primitive", "find", "--p", "3", "--e", "2", "--n", "2"),
 ])
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -350,15 +357,6 @@ def test_non_positive_budget_exits_2(capsys, argv, budget):
         main([*argv, "--budget", budget])
     assert exc.value.code == 2
     assert f"argument --budget: invalid positive_int value: '{budget}'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_bad_budget_env_exits_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("RESIDUESEQ_BUDGET", value)
-    for argv in (("alpha-k", "--p", "3"), ("thm9", "--p", "5")):
-        code, out, err = run_cli(capsys, "verify", *argv)
-        assert code == 2 and out == ""
-        assert "$RESIDUESEQ_BUDGET must be a positive integer" in err
 
 
 def test_bad_budget_env_is_ignored_by_a_suite_without_a_budget(capsys, monkeypatch):
@@ -380,9 +378,12 @@ def test_bad_budget_env_is_ignored_by_a_suite_without_a_budget(capsys, monkeypat
                     "thm7", "thm8")),
 ])
 def test_flags_a_suite_would_ignore_exit_2(capsys, argv, named):
+    # a suite's sub-command declares only the flags of its parameters, so
+    # argparse names each other one (and a prime list where one prime goes)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert f"does not take {named}\n" in err
+    last = err.splitlines()[-1]
+    assert all(re.search(rf"{flag}\b", last) for flag in re.findall(r"--[\w-]+", named))
 
 
 SEQ = ("--p", "3", "--e", "2", "--f", "8,8,1", "--init", "0,1")
@@ -408,25 +409,92 @@ SEQ = ("--p", "3", "--e", "2", "--f", "8,8,1", "--init", "0,1")
      "--poly does not take --e, --f"),
 ])
 def test_flags_a_command_would_ignore_exit_2(capsys, argv, message):
+    # argparse rejects a flag the action does not declare; the map spec and
+    # the --poly exclusion are checked by the command itself
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == f"invalid input: {message}\n"
+    flag = message.split()[-1]
+    assert (err == f"invalid input: {message}\n"
+            or f"error: unrecognized arguments: {flag} " in err), err
+
+
+BUDGET = analysis.DEFAULT_BUDGET
 
 
 @pytest.mark.parametrize("argv, overrides", [
     (("alpha-k", "--p", "5", "--e", "2", "--n", "2", "--k", "1"),
-     {"p": 5, "e": 2, "n": 2, "ks": (1,)}),
-    (("periods", "--p", "7", "--e", "2"), {"p": 7, "es": (2,)}),
-    (("thm9", "--p", "17,19"), {"ps": (17, 19)}),
+     {"p": 5, "e": 2, "n": 2, "ks": (1,), "seed": 0, "budget": BUDGET}),
+    (("periods", "--p", "7", "--e", "2"), {"p": 7, "es": [2], "seed": 0}),
+    (("thm9", "--p", "17,19"), {"ps": (17, 19), "seed": 0, "budget": BUDGET}),
     (("alpha-k", "--f", "8,8,1", "--deg-g", "2"),
-     {"f_coeffs": (8, 8, 1), "deg_g": 2}),
-    (("all",), {}),
-    (("all", "--budget", "5"), {}),
-    (("thm9", "--budget", "5"), {}),
+     {"f_coeffs": (8, 8, 1), "deg_g": 2, "seed": 0, "budget": BUDGET}),
+    (("all",), {"seed": 0, "budget": BUDGET}),
+    (("all", "--budget", "5"), {"seed": 0, "budget": 5}),
+    (("thm9", "--budget", "5", "--seed", "3"), {"seed": 3, "budget": 5}),
 ])
 def test_flags_map_to_suite_parameters(argv, overrides):
     args = build_parser().parse_args(["verify", *argv])
     assert _suite_overrides(args) == overrides
+
+
+# each verify flag of the suite table: a value, and what it sets for the
+# suite parameter of each name
+TABLE_FLAGS = {
+    "--p": ("3", {"ps": (3,), "p": 3}),
+    "--e": ("2", {"es": [2], "e": 2}),
+    "--n": ("2", {"n": 2}),
+    "--f": ("8,8,1", {"f_coeffs": (8, 8, 1)}),
+    "--deg-g": ("2", {"deg_g": 2}),
+    "--k": ("1", {"ks": (1,)}),
+    "--seed": ("4", {"seed": 4}),
+    "--budget": ("5", {"budget": 5}),
+}
+
+
+@pytest.mark.parametrize("suite", analysis.SUITE_NAMES)
+def test_each_suite_declares_exactly_the_flags_of_its_parameters(capsys, suite):
+    # every suite takes --seed, as bench/harness.py passes it to each workload
+    takes = {"seed"} | ({"budget"} if suite == "all"
+                        else set(inspect.signature(analysis.SUITES[suite]).parameters))
+    declared = [flag for flag, (_, sets) in TABLE_FLAGS.items() if sets.keys() & takes]
+    code, out, _ = run_cli(capsys, "verify", suite, "-h")
+    usage = out.split("\n\n")[0]
+    assert code == 0
+    assert re.findall(r"\[(--[\w-]+)", usage) == [*declared, "--format", "--timing", "--out"]
+    parser = build_parser()
+    given = []
+    for flag, (value, sets) in TABLE_FLAGS.items():
+        if flag in declared:
+            given += [flag, value]
+            overrides = _suite_overrides(parser.parse_args(["verify", suite, flag, value]))
+            wanted = {param: v for param, v in sets.items() if param in takes}
+            assert {param: overrides[param] for param in wanted} == wanted
+        else:
+            code, out, err = run_cli(capsys, "verify", suite, flag, value)
+            assert code == 2 and out == ""
+            assert f"error: unrecognized arguments: {flag} {value}\n" in err
+    # the replay line of a run given every flag it declares parses back to it
+    overrides = _suite_overrides(parser.parse_args(["verify", suite, *given]))
+    again = parser.parse_args(shlex.split(_repro_line(suite, overrides))[1:])
+    assert again.suite == suite and _suite_overrides(again) == overrides
+
+
+def test_benchmark_workloads_parse_and_periods_keeps_its_digest(capsys, monkeypatch):
+    # bench/harness.py appends --seed to every workload's argv, periods-p7's
+    # too, and bench/reference.json pins one periods-p7 digest for all seeds
+    root = Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location("bench_harness", root / "bench" / "harness.py")
+    harness = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, harness)  # for its dataclasses
+    spec.loader.exec_module(harness)
+    parser = build_parser()
+    for argv in harness.WORKLOADS.values():
+        parser.parse_args([*argv, "--seed", "9"])
+    code, out, _ = run_cli(capsys, "verify", "periods", "--p", "7", "--e", "2", "--seed", "9")
+    assert code == 0
+    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
+    digest = reference["workloads"]["periods-p7"]["stdout_sha256"]["9"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_all_eta_flag_is_gone(capsys):
@@ -577,22 +645,22 @@ def test_readme_library_use_runs():
 
 
 def test_repro_line_mentions_suite_and_seed():
-    # the line parses back to the same suite, overrides, seed and budget;
-    # a suite that reads no budget is replayed without one
+    # the line names the suite, the seed and, for a suite that reads it,
+    # the budget in effect, and parses back to the same overrides
     parser = build_parser()
-    for argv, budget in (
-        (("thm9", "--p", "5", "--seed", "4"), 5000),
-        (("alpha-k", "--p", "3", "--e", "2", "--n", "2", "--f", "8,8,1",
-          "--deg-g", "2", "--k", "1,2", "--seed", "7", "--budget", "5000"), 5000),
-        (("all",), 5000),
-        (("periods", "--p", "7", "--e", "2", "--seed", "3"), None),
+    for argv, tail in (
+        (("thm9", "--p", "5", "--seed", "4"), f"--p 5 --seed 4 --budget {BUDGET}"),
+        (("alpha-k", "--seed", "7", "--k", "1,2", "--p", "3", "--e", "2", "--n", "2",
+          "--f", "8,8,1", "--deg-g", "2", "--budget", "5000"),
+         "--p 3 --e 2 --n 2 --f 8,8,1 --deg-g 2 --k 1,2 --seed 7 --budget 5000"),
+        (("all",), f"--seed 0 --budget {BUDGET}"),
+        (("periods", "--p", "7", "--e", "2", "--seed", "3"), "--p 7 --e 2 --seed 3"),
     ):
         args = parser.parse_args(["verify", *argv])
-        line = _repro_line(args, 5000)
-        assert line.startswith(f"residueseq verify {args.suite} ")
+        line = _repro_line(args.suite, _suite_overrides(args))
+        assert line == f"residueseq verify {args.suite} {tail}"
         again = parser.parse_args(shlex.split(line)[1:])
-        assert again.suite == args.suite and again.seed == args.seed
-        assert again.budget == budget
+        assert again.suite == args.suite
         assert _suite_overrides(again) == _suite_overrides(args)
 
 
