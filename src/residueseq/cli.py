@@ -248,9 +248,69 @@ def _poly_flags(parser) -> None:
     parser.add_argument("--poly", help="full spec, e.g. 'p=3 e=2; f=8,8,1'")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _check_flags(cmd, name: str) -> None:
+    _poly_flags(cmd)
+    cmd.add_argument("--strong", action="store_true")
+    cmd.add_argument("--out")
+    cmd.set_defaults(func=cmd_check)
+
+
+def _find_flags(cmd, name: str) -> None:
+    for flag in ("--p", "--e", "--n"):
+        cmd.add_argument(flag, type=int, required=True)
+    cmd.add_argument("--strong", action="store_true")
+    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--budget", type=positive_int, default=DEFAULT_SEARCH_BUDGET)
+    cmd.add_argument("--out")
+    cmd.set_defaults(func=cmd_find)
+
+
+def _seq_flags(cmd, action: str) -> None:
+    _poly_flags(cmd)
+    cmd.add_argument("--init", type=_ints, required=True, help="comma-separated initial state")
+    if action == "compress":
+        cmd.add_argument("--map", required=True, help="e.g. 'g=x^2; eta=psi(0,1)'")
+    cmd.add_argument("--out")
+    cmd.set_defaults(func=cmd_seq)
+
+
+def _suite_flags(cmd, name: str) -> None:
+    # SUITES, not the module attributes, which a tracer may wrap; `all`
+    # is no SUITES entry
+    suite = analysis.SUITES.get(name)
+    takes = inspect.signature(suite).parameters if suite else ("budget",)
+    for param, (flag, options) in SUITE_FLAGS.items():
+        if param in takes or param == "seed":
+            cmd.add_argument(flag, dest=param, **options)
+    cmd.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    cmd.add_argument("--timing", action="store_true",
+                     help="include wall-time in reports (breaks byte determinism)")
+    cmd.add_argument("--out")
+    cmd.set_defaults(func=cmd_verify)
+
+
+# command -> (dest of its sub-command, help); (command, sub-command) -> the
+# function that declares the sub-command's flags, given its parser and name,
+# in help order
+COMMANDS = {
+    "primitive": ("action", "certificates for generators"),
+    "seq": ("action", "sequence tables as CSV"),
+    "verify": ("suite", "run a verification suite"),
+}
+SUBCOMMANDS = {
+    ("primitive", "check"): _check_flags,
+    ("primitive", "find"): _find_flags,
+    **dict.fromkeys([("seq", action) for action in ("gen", "alpha", "compress")], _seq_flags),
+    **dict.fromkeys([("verify", name) for name in analysis.SUITE_NAMES], _suite_flags),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
     """One sub-command per action and per suite, each declaring only the
-    flags it reads: argparse rejects any other flag (exit 2)."""
+    flags it reads: argparse rejects any other flag (exit 2). With only, a
+    (command, sub-command) pair of SUBCOMMANDS, just that sub-command is
+    built under all three commands, the choices the top usage lists; it
+    parses an argv naming that pair as the whole parser does."""
     parser = argparse.ArgumentParser(
         prog="residueseq",
         description="Linear recurring sequences modulo odd prime powers: "
@@ -258,55 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "compressing maps, and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    prim = sub.add_parser("primitive", help="certificates for generators")
-    actions = prim.add_subparsers(dest="action", required=True)
-    check = actions.add_parser("check", allow_abbrev=False)
-    _poly_flags(check)
-    check.add_argument("--strong", action="store_true")
-    check.add_argument("--out")
-    check.set_defaults(func=cmd_check)
-    find = actions.add_parser("find", allow_abbrev=False)
-    for flag in ("--p", "--e", "--n"):
-        find.add_argument(flag, type=int, required=True)
-    find.add_argument("--strong", action="store_true")
-    find.add_argument("--seed", type=int, default=0)
-    find.add_argument("--budget", type=positive_int, default=DEFAULT_SEARCH_BUDGET)
-    find.add_argument("--out")
-    find.set_defaults(func=cmd_find)
-
-    seq = sub.add_parser("seq", help="sequence tables as CSV")
-    actions = seq.add_subparsers(dest="action", required=True)
-    for action in ("gen", "alpha", "compress"):
-        cmd = actions.add_parser(action, allow_abbrev=False)
-        _poly_flags(cmd)
-        cmd.add_argument("--init", type=_ints, required=True, help="comma-separated initial state")
-        if action == "compress":
-            cmd.add_argument("--map", required=True, help="e.g. 'g=x^2; eta=psi(0,1)'")
-        cmd.add_argument("--out")
-        cmd.set_defaults(func=cmd_seq)
-
-    verify = sub.add_parser("verify", help="run a verification suite")
-    suites = verify.add_subparsers(dest="suite", required=True)
-    for name in analysis.SUITE_NAMES:
-        cmd = suites.add_parser(name, allow_abbrev=False)
-        # SUITES, not the module attributes, which a tracer may wrap; `all`
-        # is no SUITES entry
-        suite = analysis.SUITES.get(name)
-        takes = inspect.signature(suite).parameters if suite else ("budget",)
-        for param, (flag, options) in SUITE_FLAGS.items():
-            if param in takes or param == "seed":
-                cmd.add_argument(flag, dest=param, **options)
-        cmd.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        cmd.add_argument("--timing", action="store_true",
-                         help="include wall-time in reports (breaks byte determinism)")
-        cmd.add_argument("--out")
-        cmd.set_defaults(func=cmd_verify)
+    groups = {command: sub.add_parser(command, help=help_text).add_subparsers(
+                  dest=dest, required=True)
+              for command, (dest, help_text) in COMMANDS.items()}
+    for command, name in [only] if only else SUBCOMMANDS:
+        SUBCOMMANDS[command, name](groups[command].add_parser(name, allow_abbrev=False), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # only the sub-command that argv names is built; -h, or a missing or
+    # unknown name, builds every one, for the help and the list of choices
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = tuple(argv[:2])
+    parser = build_parser(named if named in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

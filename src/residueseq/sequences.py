@@ -1,7 +1,11 @@
 """Linear recurring sequences over Z/(p^e) and their level decomposition.
 
 One full least period is materialized per sequence; every consumer
-indexes cyclically. The recurrence is read off a monic generator
+indexes cyclically. Terms are stored compactly under one rule: `bytes`
+when the modulus (p^e for an LRSequence, p for a LevelSequence) is at
+most 256, else an `array` of a native unsigned type. So two sequences
+with the same values compare equal whichever function built them. The
+recurrence is read off a monic generator
 f(x) = x^n - c_{n-1} x^{n-1} - ... - c_0 as
 a(i+n) = [c_{n-1} a(i+n-1) + ... + c_0 a(i)] mod p^e.
 """
@@ -31,7 +35,7 @@ class LRSequence:
 
     f: RingPolynomial
     initial_state: tuple[int, ...]
-    terms: tuple[int, ...]
+    terms: bytes | array  # one least period, stored by _store; read-only
     period: int
 
     def at(self, t: int) -> int:
@@ -53,14 +57,14 @@ class LevelSequence:
     """A sequence over Z/p with one least period of terms."""
 
     p: int
-    terms: tuple[int, ...]
+    terms: bytes | array  # one least period, stored by _store; read-only
     period: int
 
     def at(self, t: int) -> int:
         return self.terms[t % self.period]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.terms)
+        return not any(self.terms)
 
     def shifted(self, r: int) -> "LevelSequence":
         """The same terms rotated by r, again one least period."""
@@ -75,7 +79,7 @@ def _primes(length: int) -> tuple[int, ...]:
 
 
 def least_period(values) -> int:
-    """Smallest cyclic period of a list or bytes known to repeat with its length,
+    """Smallest cyclic period of a list, bytes or array known to repeat with its length,
     by prime descent: exact, as the periods dividing the length are the least
     one's multiples."""
     length = d = len(values)
@@ -85,11 +89,20 @@ def least_period(values) -> int:
     return d
 
 
+def _store(values, modulus: int) -> bytes | array:
+    """values as the term store of a sequence mod modulus: bytes when
+    modulus <= 256, else an array (RingContext keeps moduli below 2^31, so
+    "L" holds every residue). Terms already stored so pass through; other
+    values are read one by one, never as a raw buffer."""
+    if modulus <= 256:
+        return values if type(values) is bytes else bytes(iter(values))
+    return values if type(values) is array else array("L", iter(values))
+
+
 def level_sequence(p: int, values) -> LevelSequence:
-    if not isinstance(values, (list, bytes)):
-        values = list(values)
+    values = _store(values, p)
     d = least_period(values)
-    return LevelSequence(p=p, terms=tuple(values[:d]), period=d)
+    return LevelSequence(p=p, terms=values[:d], period=d)
 
 
 def recurrence_coeffs(f: RingPolynomial) -> tuple[int, ...]:
@@ -188,8 +201,8 @@ def generate(f: RingPolynomial, init) -> LRSequence:
     period of the impulse, reduced mod m slot by slot and cut to their
     least period. When m <= 256 every term is the low byte of its slot, so
     a strided slice of the sum's little-endian bytes reads one period;
-    larger rings unpack the slots through the array type. When no native
-    slot holds the combination, the state is walked a term at a time.
+    larger rings keep the slots as an array of the slot type. When no
+    native slot holds the combination, the state is walked a term at a time.
     """
     f.check_generator()
     n, m = f.degree, f.ctx.modulus
@@ -198,7 +211,7 @@ def generate(f: RingPolynomial, init) -> LRSequence:
         raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
     basis = _basis(f)
     if basis is None:
-        terms = _walk(f, init)
+        terms = _store(_walk(f, init), m)
     else:
         typecode, nbytes, units, mu, shift, mask = basis
         total = sum(map(operator.mul, init, units))
@@ -207,9 +220,9 @@ def generate(f: RingPolynomial, init) -> LRSequence:
         if m <= 256:
             terms = data[::array(typecode).itemsize]
         else:
-            terms = _little(array(typecode, data)).tolist()
+            terms = _little(array(typecode, data))
         terms = terms[:least_period(terms)]
-    return LRSequence(f=f, initial_state=init, terms=tuple(terms), period=len(terms))
+    return LRSequence(f=f, initial_state=init, terms=terms, period=len(terms))
 
 
 @functools.lru_cache(maxsize=8)
@@ -228,8 +241,8 @@ def level(s: LRSequence, i: int) -> LevelSequence:
         raise InvalidInputError(f"level index must be in [0, {ctx.e}), got {i}")
     table = _digits(ctx.p, ctx.e, i)
     if isinstance(table, bytes):
-        return level_sequence(ctx.p, bytes(s.terms).translate(table))
-    return level_sequence(ctx.p, list(map(table.__getitem__, s.terms)))
+        return level_sequence(ctx.p, s.terms.translate(table))
+    return level_sequence(ctx.p, map(table.__getitem__, s.terms))
 
 
 def _check_same_generator(s: LRSequence, cert: PrimitivityCertificate) -> None:

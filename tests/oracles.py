@@ -29,6 +29,7 @@ from residueseq.ringcore import RingContext, UnivariateFn, carry_c1, format_univ
 from residueseq.sequences import (
     LRSequence,
     _check_same_generator,
+    _store,
     alpha_sequence,
     apply_mod_p,
     generate,
@@ -61,7 +62,7 @@ def generate_by_tuple_state(f: RingPolynomial, init) -> LRSequence:
         terms.append(nxt)
     else:
         raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
-    return LRSequence(f=f, initial_state=init, terms=tuple(terms[:period]), period=period)
+    return LRSequence(f=f, initial_state=init, terms=_store(terms[:period], m), period=period)
 
 
 def generate_loop(f: RingPolynomial, init) -> LRSequence:
@@ -101,7 +102,7 @@ def generate_loop(f: RingPolynomial, init) -> LRSequence:
         terms.append(nxt)
     else:
         raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
-    return LRSequence(f=f, initial_state=init, terms=tuple(terms[:t]), period=t)
+    return LRSequence(f=f, initial_state=init, terms=_store(terms[:t], m), period=t)
 
 
 def unit_rows(f: RingPolynomial) -> list[list[int]]:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from residueseq import analysis, primitivity
+from residueseq import analysis, cli, primitivity
 from residueseq.cli import build_parser, main, _parse_map_spec, _repro_line, _suite_overrides
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn
@@ -85,10 +85,13 @@ def test_primitive_check_computes_the_order_once(capsys, monkeypatch):
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("argv", [
+NON_CANONICAL = [
     ("primitive", "check", "--p", "3", "--e", "2", "--f", "17,-1,10"),
     ("verify", "alpha-k", "--f", "17,-1,10", "--k", "1"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", NON_CANONICAL)
 def test_non_canonical_generator_exits_2(capsys, argv):
     # --f is held to the same canonical residues as --poly, not reduced
     code, out, err = run_cli(capsys, *argv)
@@ -96,10 +99,13 @@ def test_non_canonical_generator_exits_2(capsys, argv):
     assert "17 is not a canonical residue modulo 9" in err
 
 
-@pytest.mark.parametrize("argv, message", [
+REPEATED = [
     (("legendre", "--p", "3,3"), "argument --p: repeated value in '3,3'"),
     (("alpha-k", "--k", "1,1"), "argument --k: repeated value in '1,1'"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", REPEATED)
 def test_repeated_suite_values_exit_2(capsys, argv, message):
     # a repeated prime or marker would run every one of its cells twice
     with pytest.raises(SystemExit) as exc:
@@ -135,13 +141,16 @@ def test_alpha_k_generator_of_another_degree_exits_2(capsys):
     assert "f has degree 2, but n = 3" in err
 
 
-@pytest.mark.parametrize("argv", [
+NON_INTEGER = [
     ("primitive", "check", "--p", "3", "--e", "2", "--f", "8,x,1"),
     ("seq", "gen", "--p", "3", "--e", "2", "--f", "8,8,1", "--init", "a"),
     # an empty entry is not skipped: no default primes, no shorter generator
     ("verify", "carry", "--p", ""),
     ("verify", "alpha-k", "--f", "8,,8,1"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", NON_INTEGER)
 def test_non_integer_lists_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -216,6 +225,28 @@ def test_seq_compress_works_without_primitivity(capsys):
     assert out.startswith("t,a,a0,a1,phi")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("gen", "--p", "3", "--e", "2", "--f", "8,8,1"),
+     "35be81480ad121f71f7a1dfd1169c100319ace6162316e0f3d653985f94b4d43"),
+    (("alpha", "--p", "3", "--e", "2", "--f", "8,8,1"),
+     "5f6dec6576adb39a33323779098d3d0798f4716f22449fa47a97d67f082939b1"),
+    (("compress", "--p", "3", "--e", "2", "--f", "8,8,1", "--map", "g=x^2; eta=psi(0,1)"),
+     "26d43f1a209d8a4efda4bdb5f0053e936f5f4f9084e6f149566a9fba335713a9"),
+    (("gen", "--p", "17", "--e", "2", "--f", "3,1,1"),
+     "bb1e9603cf08195718f3b66f7264607d79256e17f90ecebbf64862406d5e3ff1"),
+    (("alpha", "--p", "17", "--e", "2", "--f", "3,1,1"),
+     "6703d1ab69bfdffe90ff68648321ccd54c3b06ec4811442139f79dc438ad7381"),
+    (("compress", "--p", "17", "--e", "2", "--f", "3,1,1", "--map", "g=x^2; eta=psi(0,1)"),
+     "0f0512b6134aefc6d1bb76aa8cd0973638d3c6839e1d0d9b6d570665dc7af0de"),
+], ids=["gen-9", "alpha-9", "compress-9", "gen-289", "alpha-289", "compress-289"])
+def test_seq_csv_keeps_its_digest(capsys, argv, digest):
+    # every column of the tables, over Z/9 (bytes terms) and Z/289 (array
+    # terms, bytes digit streams), byte for byte
+    code, out, _ = run_cli(capsys, "seq", *argv, "--init", "0,1")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_verify_all_matches_golden_report(capsys):
     # the default report of every suite, byte for byte; a change to it on
     # purpose regenerates tests/golden/verify_all.json and says why
@@ -238,17 +269,25 @@ def test_alpha_k_p5_matches_bench_reference_digest(capsys, seed):
     assert digest == digests["workloads"]["alpha-k-p5"]["stdout_sha256"][seed]
 
 
-def test_benchmark_tracer_runs_verify_all_unchanged(tmp_path):
+GENERATED = ("sequences.generate.terms",)
+
+
+@pytest.mark.parametrize("workload, argv, counted", [
+    ("verify-all", ["verify", "all"], (*GENERATED, "analysis.shift_classes.classes")),
+    ("periods-p7", ["verify", "periods", "--p", "7", "--e", "2"], GENERATED),  # bytes terms
+    ("thm9-p17-19", ["verify", "thm9", "--p", "17,19"], GENERATED),  # array terms: m = 289, 361
+], ids=["verify-all", "periods-p7", "thm9-p17-19"])
+def test_benchmark_tracer_runs_workloads_unchanged(tmp_path, workload, argv, counted):
     # bench/traced.py wraps every layer it names and reads the results of
     # two: len(seq.terms) and the hashable seq.initial_state of each
     # generate, and the reps of shift_classes' (reps, walked). A name or a
-    # shape that drifts from it fails here, not first in a traced benchmark
-    # run whose last line is then no result
+    # shape that drifts from it, under either term store, fails here, not
+    # first in a traced benchmark run whose last line is then no result
     root = Path(__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    argv = ["verify", "all", "--seed", "0"]
-    spans = tmp_path / "verify-all.spans"
+    argv = [*argv, "--seed", "0"]
+    spans = tmp_path / f"{workload}.spans"
     traced = subprocess.run([sys.executable, str(root / "bench" / "traced.py"), str(spans), *argv],
                             capture_output=True, env=env, cwd=root, timeout=120)
     untraced = subprocess.run([sys.executable, "-m", "residueseq", *argv],
@@ -257,12 +296,11 @@ def test_benchmark_tracer_runs_verify_all_unchanged(tmp_path):
     assert untraced.returncode == 0, untraced.stderr.decode()
     assert traced.stdout == untraced.stdout
     reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
-    digest = reference["workloads"]["verify-all"]["stdout_sha256"]["0"]
+    digest = reference["workloads"][workload]["stdout_sha256"]["0"]
     assert hashlib.sha256(traced.stdout).hexdigest() == digest
     meta = json.loads(Path(f"{spans}.json").read_text(encoding="utf-8"))
     assert meta["absent"] == []
-    assert meta["counters"]["sequences.generate.terms"] > 0
-    assert meta["counters"]["analysis.shift_classes.classes"] > 0
+    assert all(meta["counters"][name] > 0 for name in counted)
 
 
 @pytest.mark.parametrize("budget, seed, digest", [
@@ -347,10 +385,13 @@ def test_budget_env_is_not_read(capsys, monkeypatch, value):
     assert not any(r["sampled"] for _, out, _ in unset for r in json.loads(out))
 
 
-@pytest.mark.parametrize("argv", [
+BUDGETED = [
     ("verify", "thm9", "--p", "5"),
     ("primitive", "find", "--p", "3", "--e", "2", "--n", "2"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", BUDGETED)
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_non_positive_budget_exits_2(capsys, argv, budget):
     with pytest.raises(SystemExit) as exc:
@@ -366,7 +407,7 @@ def test_bad_budget_env_is_ignored_by_a_suite_without_a_budget(capsys, monkeypat
     assert all(r["verdict"] == "holds" for r in json.loads(out))
 
 
-@pytest.mark.parametrize("argv, named", [
+SUITE_IGNORES = [
     (("verify", "all", "--p", "97", "--e", "9"), "--p, --e"),
     (("verify", "carry", "--p", "3", "--n", "2"), "--n"),
     (("verify", "legendre", "--p", "3", "--e", "5", "--k", "1"), "--e, --k"),
@@ -376,7 +417,10 @@ def test_bad_budget_env_is_ignored_by_a_suite_without_a_budget(capsys, monkeypat
     *((("verify", suite, "--budget", "5"), "--budget")
       for suite in ("carry", "legendre", "recurrence", "periods", "distribution",
                     "thm7", "thm8")),
-])
+]
+
+
+@pytest.mark.parametrize("argv, named", SUITE_IGNORES)
 def test_flags_a_suite_would_ignore_exit_2(capsys, argv, named):
     # a suite's sub-command declares only the flags of its parameters, so
     # argparse names each other one (and a prime list where one prime goes)
@@ -389,7 +433,7 @@ def test_flags_a_suite_would_ignore_exit_2(capsys, argv, named):
 SEQ = ("--p", "3", "--e", "2", "--f", "8,8,1", "--init", "0,1")
 
 
-@pytest.mark.parametrize("argv, message", [
+COMMAND_IGNORES = [
     (("seq", "gen", *SEQ, "--map", "g=x"), "seq gen does not take --map"),
     (("seq", "alpha", *SEQ, "--map", "g=x"), "seq alpha does not take --map"),
     (("seq", "compress", *SEQ, "--map", "g=x; g=x^2"), "map spec defines g twice"),
@@ -407,7 +451,10 @@ SEQ = ("--p", "3", "--e", "2", "--f", "8,8,1", "--init", "0,1")
      "--poly does not take --p"),
     (("seq", "gen", "--poly", "p=3 e=2; f=8,8,1", "--e", "3", "--f", "8,1", "--init", "0,1"),
      "--poly does not take --e, --f"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", COMMAND_IGNORES)
 def test_flags_a_command_would_ignore_exit_2(capsys, argv, message):
     # argparse rejects a flag the action does not declare; the map spec and
     # the --poly exclusion are checked by the command itself
@@ -421,7 +468,7 @@ def test_flags_a_command_would_ignore_exit_2(capsys, argv, message):
 BUDGET = analysis.DEFAULT_BUDGET
 
 
-@pytest.mark.parametrize("argv, overrides", [
+FLAG_MAPS = [
     (("alpha-k", "--p", "5", "--e", "2", "--n", "2", "--k", "1"),
      {"p": 5, "e": 2, "n": 2, "ks": (1,), "seed": 0, "budget": BUDGET}),
     (("periods", "--p", "7", "--e", "2"), {"p": 7, "es": [2], "seed": 0}),
@@ -431,10 +478,42 @@ BUDGET = analysis.DEFAULT_BUDGET
     (("all",), {"seed": 0, "budget": BUDGET}),
     (("all", "--budget", "5"), {"seed": 0, "budget": 5}),
     (("thm9", "--budget", "5", "--seed", "3"), {"seed": 3, "budget": 5}),
-])
+]
+
+
+@pytest.mark.parametrize("argv, overrides", FLAG_MAPS)
 def test_flags_map_to_suite_parameters(argv, overrides):
     args = build_parser().parse_args(["verify", *argv])
     assert _suite_overrides(args) == overrides
+
+
+def _echo(args) -> int:
+    # a verify command that prints what it was given instead of running
+    print({k: v for k, v in vars(args).items() if k != "func"})
+    return 0
+
+
+@pytest.mark.parametrize("argv", [
+    *NON_CANONICAL, *(("verify", *argv) for argv, _ in REPEATED), *NON_INTEGER,
+    *((*argv, "--budget", budget) for argv in BUDGETED for budget in ("0", "-5")),
+    *(argv for argv, _ in SUITE_IGNORES), *(argv for argv, _ in COMMAND_IGNORES),
+    *(("verify", *argv) for argv, _ in FLAG_MAPS),
+    # help, and a missing or unknown name, which build every sub-command
+    ("-h",), ("verify", "-h"), ("verify", "periods", "-h"), ("seq", "gen", "-h"),
+    (), ("verify",), ("verify", "nonsense"), ("nonsense", "periods"), ("--p", "3"),
+])
+def test_main_builds_the_named_sub_command_as_the_whole_parser_would(capsys, monkeypatch, argv):
+    # main builds only the sub-command that argv[:2] names; for every argv
+    # of the rejection and flag tables above, it exits, prints and reports
+    # as the parser built whole does
+    monkeypatch.setattr(cli, "cmd_verify", _echo)
+    built, whole = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or whole(only))
+    named = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: whole())
+    assert run_cli(capsys, *argv) == named
+    assert built == [argv[:2] if argv[:2] in cli.SUBCOMMANDS else None]
+    assert named[0] in (0, 1, 2)
 
 
 # each verify flag of the suite table: a value, and what it sets for the
@@ -639,7 +718,7 @@ def test_readme_library_use_runs():
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     names: dict = {}
     exec(block, names)
-    assert names["alpha"].terms == (1, 2, 0, 2, 2, 1, 0, 1)
+    assert names["alpha"].terms == bytes((1, 2, 0, 2, 2, 1, 0, 1))
     assert names["cert"].period == 24 == names["a"].period
     assert names["cert"].h_f.coeffs == (1, 1)  # x + 1
 

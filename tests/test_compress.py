@@ -147,7 +147,7 @@ def test_compress_sequence():
 
     zero = generate(FIB9, (0, 0))
     m17 = CompressingMap(g=g, eta=psi_zw(3, 2, 1, 2), e=2)
-    assert compress_sequence(m17, zero).terms == (1,)  # phi(0, 0) = z
+    assert compress_sequence(m17, zero).terms == bytes((1,))  # phi(0, 0) = z
 
     eta_sq = from_table(3, 1, [x * x % 3 for x in range(3)])
     msq = CompressingMap(g=g, eta=eta_sq, e=2)

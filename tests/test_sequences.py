@@ -14,14 +14,16 @@ from oracles import (
     unit_rows,
 )
 from residueseq.analysis import _sample_primitive_states
+from residueseq.compress import CompressingMap, compress_sequence, zero_poly
 from residueseq.errors import InvalidInputError
-from residueseq.ringcore import RingContext
-from residueseq.polyring import RingPolynomial, with_exponent
+from residueseq.ringcore import RingContext, UnivariateFn
+from residueseq.polyring import RingPolynomial, one, with_exponent
 from residueseq.primitivity import certify, find_primitive, iter_primitive
 from residueseq.sequences import (
     _basis,
     _digits,
     alpha_sequence,
+    apply_mod_p,
     dump_rows,
     generate,
     identity_failure,
@@ -36,9 +38,10 @@ Z3 = RingContext(3, 1)
 FIB9 = RingPolynomial(Z9, (8, 8, 1))
 FIB3 = RingPolynomial(Z3, (2, 2, 1))
 
-FIB9_TERMS = (0, 1, 1, 2, 3, 5, 8, 4, 3, 7, 1, 8, 0, 8, 8, 7, 6, 4, 1, 5, 6, 2, 8, 1)
-MSEQ = (0, 1, 1, 2, 0, 2, 2, 1)
-ALPHA = (1, 2, 0, 2, 2, 1, 0, 1)
+# terms mod 9 and mod 3 are stored as bytes
+FIB9_TERMS = bytes((0, 1, 1, 2, 3, 5, 8, 4, 3, 7, 1, 8, 0, 8, 8, 7, 6, 4, 1, 5, 6, 2, 8, 1))
+MSEQ = bytes((0, 1, 1, 2, 0, 2, 2, 1))
+ALPHA = bytes((1, 2, 0, 2, 2, 1, 0, 1))
 
 
 def test_generate_fibonacci_mod3():
@@ -58,7 +61,7 @@ def test_generate_fibonacci_mod9():
 
 def test_generate_zero_state():
     s = generate(FIB9, (0, 0))
-    assert s.terms == (0,)
+    assert s.terms == bytes((0,))
     assert s.period == 1
 
 
@@ -225,7 +228,7 @@ def test_level_matches_the_digit_comprehension(p, e, n):
             digits = [(v // p**i) % p for v in s.terms]
             d = least_period_divisor_scan(digits)
             lvl = level(s, i)
-            assert (lvl.p, lvl.terms, lvl.period) == (p, tuple(digits[:d]), d)
+            assert (lvl.p, lvl.terms, lvl.period) == (p, bytes(digits[:d]), d)
             assert lvl == level_sequence(p, [v // p**i % p for v in s.terms])
 
 
@@ -236,9 +239,35 @@ def test_levels():
     assert a0.period == 8
     a1 = level(s, 1)
     assert a1.period == 24
-    assert a1.terms == tuple(v // 3 for v in FIB9_TERMS)
+    assert a1.terms == bytes(v // 3 for v in FIB9_TERMS)
     with pytest.raises(InvalidInputError):
         level(s, 2)
+
+
+# m = 9 and p = 3 store bytes; m = 289 an array and p = 17 bytes; m = 257^2,
+# past every native slot of _basis so generate walks, and p = 257 arrays
+@pytest.mark.parametrize("p,e,coeffs", [(3, 2, (8, 8, 1)), (17, 2, (3, 1, 1)),
+                                        (257, 2, (257**2 - 3, 1))])
+def test_every_producer_stores_the_same_values_alike(p, e, coeffs):
+    def stored(modulus):
+        return bytes if modulus <= 256 else array
+
+    f = RingPolynomial(RingContext(p, e), coeffs)
+    fp = RingPolynomial(RingContext(p, 1), tuple(c % p for c in coeffs))
+    init = (0,) * (f.degree - 1) + (1,)
+    s = generate(f, init)
+    assert type(s.terms) is stored(p**e)
+    a0, top = level(s, 0), level(s, e - 1)
+    top_map = CompressingMap(g=UnivariateFn(p, (0, 1)), eta=zero_poly(p, e - 1), e=e)
+    # level 0 is the sequence of f mod p from init mod p; phi = x_(e-1) is the top level
+    lows = [generate(fp, init).terms, a0.terms, level_sequence(p, [v % p for v in s.terms]).terms,
+            apply_mod_p(one(fp.ctx), a0).terms]
+    tops = [top.terms, level_sequence(p, [v // p ** (e - 1) for v in s.terms]).terms,
+            apply_mod_p(one(fp.ctx), top).terms, compress_sequence(top_map, s).terms]
+    for same in (lows, tops):
+        assert all(terms == same[0] for terms in same)
+        assert {type(terms) for terms in same} == {stored(p)}
+    assert a0.period == p**f.degree - 1  # f mod p is primitive: no short cycle
 
 
 def test_level_of_scaled_msequence():
