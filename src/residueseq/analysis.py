@@ -12,6 +12,7 @@ and marks the report accordingly.
 from __future__ import annotations
 
 import bisect
+import collections
 import copy
 import functools
 import inspect
@@ -304,6 +305,33 @@ def _class_alphas(cert: PrimitivityCertificate) -> tuple[LevelSequence, ...]:
     return tuple(alpha_sequence(rep, cert) for rep in _atlas(cert.f)[0])
 
 
+@functools.lru_cache(maxsize=2)
+def _alpha_k_frame(cert: PrimitivityCertificate):
+    """(marks, gaps, masks): the part of the alpha-k cells of cert that no
+    map changes, built once for the cells that share the generator;
+    read-only. With L the period of the reps of _atlas(cert.f):
+    - marks[ci][k], the positions t < L where class ci's alpha is k, ascending;
+    - gaps[ci][k][c], the number of starts r < L whose first k-position at
+      or after r, cyclically, is mark c: m_c - m_(c-1), and
+      m_0 + L - m_(K-1) at c = 0, or L at c = 0 when there is no mark;
+    - masks[v], the state bits ci*L + r whose rep term is the residue v.
+    """
+    reps = _atlas(cert.f)[0]
+    period = reps[0].period
+    marks, gaps = [], []
+    for alpha in _class_alphas(cert):
+        by_k = [[] for _ in range(cert.f.ctx.p)]
+        for t in range(period):
+            by_k[alpha.at(t)].append(t)
+        marks.append(tuple(map(tuple, by_k)))
+        gaps.append(tuple((ts[0] + period - ts[-1], *map(operator.sub, ts[1:], ts[:-1]))
+                          if ts else (period,) for ts in by_k))
+    masks = [0] * cert.f.ctx.modulus
+    for i, v in enumerate(itertools.chain.from_iterable(rep.terms for rep in reps)):
+        masks[v] |= 1 << i
+    return tuple(marks), tuple(gaps), tuple(masks)
+
+
 # ---------------------------------------------------------------------------
 # agreement at the marker value k
 
@@ -344,7 +372,9 @@ def verify_alpha_k_injectivity(
     to its first mismatch; the witness is the first agreeing pair of
     distinct states in lex order. A state's masks are its class rep's,
     each rotated back by the state's offset, so one walk per (class,
-    cyclic start) settles every row.
+    cyclic start) settles every row, and a holding cell counts each
+    walk's compares once per state of its gap. The part no map changes
+    (marks, gaps, residue masks) is _alpha_k_frame's, one per generator.
 
     The budget counts 64-bit mask words, one N-bit mask per row: when
     fewer than N rows fit, a seeded sample of max(1, budget // ceil(N/64))
@@ -362,18 +392,17 @@ def verify_alpha_k_injectivity(
         raise InvalidInputError("deg g >= 2 requires a strongly primitive polynomial")
     table = value_table(m, ctx)  # also rejects a map that does not fit the ring
     reps, slots = _atlas(cert.f)
-    rows = [[table[v] for v in rep.terms] for rep in reps]
-    marks = [[t for t in range(len(row)) if alpha.at(t) == k]
-             for row, alpha in zip(rows, _class_alphas(cert))]
+    marks, gaps, masks = _alpha_k_frame(cert)
+    marks, gaps = [by_k[k] for by_k in marks], [by_k[k] for by_k in gaps]
     # state (ci, r) is bit ci*L + r: every primitive state of f has the same
     # least period L, so a rotation of every L-bit block rotates every class
     period = reps[0].period
     total = len(slots)
     full = (1 << total) - 1
     blocks = sum(1 << (ci * period) for ci in range(len(reps)))
-    by_value: dict[int, int] = {}
-    for i, v in enumerate(itertools.chain.from_iterable(rows)):
-        by_value[v] = by_value.get(v, 0) | 1 << i
+    by_value = [0] * p  # by map value, the states whose rep term takes it
+    for v, mask in enumerate(masks):
+        by_value[table[v]] |= mask
 
     def rotated(mask, s):
         """Every L-bit block of mask rotated: bit q takes bit (q + s) % L, 0 <= s <= L."""
@@ -382,49 +411,59 @@ def verify_alpha_k_injectivity(
 
     def rep_masks(ci):
         """At each k-position t of class ci's rep, the states whose value at t is the rep's."""
-        return [rotated(by_value[rows[ci][t]], t) for t in marks[ci]]
+        terms = reps[ci].terms
+        return [rotated(by_value[table[terms[t]]], t) for t in marks[ci]]
 
-    allowed = max(1, budget // -(-total // 64))
-    sampled = allowed < total
-    walk = sorted(random.Random(seed).sample(range(total), allowed)) if sampled else range(total)
+    def cut_of(ia):
+        """The (class, cut) that state ia walks."""
+        ci, r = divmod(slots[ia], period)
+        return ci, bisect.bisect_left(marks[ci], r) % (len(marks[ci]) or 1)
 
     # state (ci, r) walks its rep's masks from cut = bisect_left(marks[ci], r),
     # rotated by -r, which popcounts and the early exit do not see: its compares
-    # depend on (ci, cut) alone, and a class fails at all of its states or none
-    keys = [(ci, bisect.bisect_left(marks[ci], r) % (len(marks[ci]) or 1))
-            for ci, r in (divmod(slots[ia], period) for ia in walk)]
+    # depend on (ci, cut) alone, and a class fails at all of its states or none;
+    # weights counts the walked states of each (ci, cut)
+    allowed = max(1, budget // -(-total // 64))
+    sampled = allowed < total
+    if sampled:
+        walk = sorted(random.Random(seed).sample(range(total), allowed))
+        weights = collections.Counter(map(cut_of, walk))
+    else:
+        walk = range(total)
+        weights = {(ci, cut): n for ci, gap in enumerate(gaps) for cut, n in enumerate(gap)}
     walked = {}
-    for ci, cuts in itertools.groupby(sorted(set(keys)), operator.itemgetter(0)):
+    for ci, cuts in itertools.groupby(sorted(weights), operator.itemgetter(0)):
         rep, abit = rep_masks(ci), 1 << ci * period
         for _, cut in cuts:
             done, agreeing = _walk_row(full, abit, rep[cut:] + rep[:cut])
             walked[ci, cut] = done, agreeing & ~abit != 0
 
     witness = None
-    checked = 0
     pairs = len(walk) * total
-    for j, ia in enumerate(walk):
-        done, fails = walked[keys[j]]
-        if fails:
-            # the pairwise scan of row a: each b in lex order, compared at
-            # a's k-positions in a's frame up to the first mismatch, until
-            # the first b other than a that agrees at all of them
-            ci, r = divmod(slots[ia], period)
-            ts = sorted((t - r) % period for t in marks[ci])
-            seen = [rows[ci][(t + r) % period] for t in ts]
-            for ib, b in enumerate(slots):
-                row, rb = rows[b // period], b % period
-                miss = next((i for i, (t, v) in enumerate(zip(ts, seen))
-                             if row[(t + rb) % period] != v), None)
-                checked += len(ts) if miss is None else miss + 1
-                if miss is None and ib != ia:
-                    break
-            pairs = j * total + ib + 1
-            states = (divmod(slots[i], period) for i in (ia, ib))
-            a_state, b_state = (list(reps[c].state_at(s)) for c, s in states)
-            witness = {"a_state": a_state, "b_state": b_state, "k": k}
-            break
-        checked += done
+    if not any(fails for _, fails in walked.values()):
+        checked = sum(walked[key][0] * n for key, n in weights.items())
+    else:
+        # the first walked state a whose class fails, after the compares of
+        # the rows before it; then the pairwise scan of row a: each b in lex
+        # order, compared at a's k-positions in a's frame up to the first
+        # mismatch, until the first b other than a that agrees at all of them
+        j, ia = next((j, ia) for j, ia in enumerate(walk) if walked[cut_of(ia)][1])
+        checked = sum(walked[cut_of(i)][0] for i in walk[:j])
+        rows = [[table[v] for v in rep.terms] for rep in reps]
+        ci, r = divmod(slots[ia], period)
+        ts = sorted((t - r) % period for t in marks[ci])
+        seen = [rows[ci][(t + r) % period] for t in ts]
+        for ib, b in enumerate(slots):
+            row, rb = rows[b // period], b % period
+            miss = next((i for i, (t, v) in enumerate(zip(ts, seen))
+                         if row[(t + rb) % period] != v), None)
+            checked += len(ts) if miss is None else miss + 1
+            if miss is None and ib != ia:
+                break
+        pairs = j * total + ib + 1
+        states = (divmod(slots[i], period) for i in (ia, ib))
+        a_state, b_state = (list(reps[c].state_at(s)) for c, s in states)
+        witness = {"a_state": a_state, "b_state": b_state, "k": k}
 
     params = {
         "p": p,

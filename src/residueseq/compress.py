@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError
 from .ringcore import (
-    RingContext, UnivariateFn, _fold_exponent, digit_table, interpolate, is_odd_prime,
+    RingContext, UnivariateFn, _fold_exponent, interpolate, is_odd_prime,
 )
 from .sequences import LRSequence, LevelSequence, level_sequence
 
@@ -157,10 +157,19 @@ def eval_map(m: CompressingMap, digits) -> int:
 
 
 def value_table(m: CompressingMap, ctx: RingContext) -> tuple[int, ...]:
-    """phi over every residue of Z/(p^e), indexed by residue value."""
+    """phi over every residue of Z/(p^e), indexed by residue value, read
+    from the tables of g and eta."""
     if ctx.p != m.p or ctx.e != m.e:
         raise InvalidInputError(f"map over (p={m.p}, e={m.e}) does not fit {ctx}")
-    return tuple(eval_map(m, digits) for digits in digit_table(ctx))
+    p = m.p
+    # residue r has digits d_0 (least significant) to d_(e-1); eta's table
+    # has x_0 slowest, so the lower digits of r read it at the place
+    # sum d_i * p^(e-2-i): order lists those places for r = 0, ..., p^(e-1) - 1
+    order = [0]
+    for _ in range(m.e - 1):
+        order = [d * len(order) + i for i in order for d in range(p)]
+    et = m.eta.table()
+    return tuple((gx + et[i]) % p for gx in m.g.table() for i in order)
 
 
 def compress_sequence(m: CompressingMap, s: LRSequence) -> LevelSequence:

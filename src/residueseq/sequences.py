@@ -38,6 +38,8 @@ class LRSequence:
     terms: bytes | array  # one least period, stored by _store; read-only
     period: int
 
+    __hash__ = None  # unhashable whichever store holds the terms (an array cannot hash)
+
     def at(self, t: int) -> int:
         return self.terms[t % self.period]
 
@@ -59,6 +61,8 @@ class LevelSequence:
     p: int
     terms: bytes | array  # one least period, stored by _store; read-only
     period: int
+
+    __hash__ = None  # unhashable whichever store holds the terms (an array cannot hash)
 
     def at(self, t: int) -> int:
         return self.terms[t % self.period]

@@ -1,5 +1,6 @@
 """Slow reference implementations that the tests compare the package against."""
 
+import bisect
 import functools
 import itertools
 import math
@@ -8,7 +9,7 @@ import time
 
 from residueseq import analysis
 from residueseq.analysis import DEFAULT_BUDGET, _report
-from residueseq.compress import MultivariatePoly, format_multipoly, value_table
+from residueseq.compress import MultivariatePoly, eval_map, format_multipoly, value_table
 from residueseq.errors import CertificateError, InvalidInputError
 from residueseq.polyring import (
     RingPolynomial,
@@ -25,7 +26,9 @@ from residueseq.polyring import (
     x_poly,
 )
 from residueseq.primitivity import PrimitivityCertificate, certify, compute_h, iter_primitive
-from residueseq.ringcore import RingContext, UnivariateFn, carry_c1, format_univariate
+from residueseq.ringcore import (
+    RingContext, UnivariateFn, carry_c1, digit_table, format_univariate,
+)
 from residueseq.sequences import (
     LRSequence,
     _check_same_generator,
@@ -342,6 +345,27 @@ def verify_alpha_k_injectivity_per_state(cert, m, k, budget=DEFAULT_BUDGET, seed
     return _report("alpha-k", params, witness, counts, sampled, seed, started)
 
 
+def alpha_k_frame_per_state(cert):
+    """analysis._alpha_k_frame from its definition: the k-positions of each
+    class alpha by a scan per k, each (class, cut) counted over the cyclic
+    starts r that bisect to it, and each residue's state bits set one by one."""
+    reps = analysis._atlas(cert.f)[0]
+    period = reps[0].period
+    marks, gaps = [], []
+    for alpha in analysis._class_alphas(cert):
+        by_k = [tuple(t for t in range(period) if alpha.at(t) == k) for k in range(cert.f.ctx.p)]
+        marks.append(tuple(by_k))
+        counts = []
+        for ts in by_k:
+            cuts = [bisect.bisect_left(ts, r) % (len(ts) or 1) for r in range(period)]
+            counts.append(tuple(cuts.count(c) for c in range(len(ts) or 1)))
+        gaps.append(tuple(counts))
+    terms = [v for rep in reps for v in rep.terms]
+    masks = tuple(sum(1 << i for i, v in enumerate(terms) if v == residue)
+                  for residue in range(cert.f.ctx.modulus))
+    return tuple(marks), tuple(gaps), masks
+
+
 def equal_at_alpha_k(s_a, s_b, m, cert, k) -> bool:
     """True iff the compressed sequences agree wherever alpha(t) = k,
     with alpha taken from s_a."""
@@ -497,6 +521,11 @@ def from_table_per_point(p: int, arity: int, values) -> MultivariatePoly:
                 key = tuple(exps)
                 coeffs[key] = (coeffs.get(key, 0) + term) % p
     return MultivariatePoly(p, arity, coeffs)
+
+
+def value_table_by_eval_map(m, ctx: RingContext) -> tuple[int, ...]:
+    """value_table as one eval_map call per residue, on its digit vector."""
+    return tuple(eval_map(m, digits) for digits in digit_table(ctx))
 
 
 def psi_zw_expanded(p: int, e: int, z: int, w: int) -> MultivariatePoly:

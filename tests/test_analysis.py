@@ -373,6 +373,7 @@ def test_alpha_k_builds_each_class_alpha_once(monkeypatch):
     monkeypatch.setattr(analysis, "alpha_sequence",
                         lambda s, cert: calls.append(s) or alpha_sequence(s, cert))
     analysis._class_alphas.cache_clear()
+    analysis._alpha_k_frame.cache_clear()
     reports = analysis.suite_alpha_k(p=5, e=2, n=2, ks=[1])
     assert len(reports) == 27 and all(r.holds for r in reports)
     assert len(calls) == 5
@@ -398,6 +399,32 @@ def test_alpha_k_walks_each_class_and_cyclic_start_once(monkeypatch):
     assert report.holds and report.sampled
     assert report.counts["pairs"] == 600
     assert len(calls) == 1
+
+
+def test_alpha_k_suite_builds_the_frame_once(monkeypatch):
+    # 27 eta cells times 4 markers share one frame and the 5 class alphas
+    calls = []
+    alpha_sequence = analysis.alpha_sequence
+    monkeypatch.setattr(analysis, "alpha_sequence",
+                        lambda s, cert: calls.append(s) or alpha_sequence(s, cert))
+    analysis._class_alphas.cache_clear()
+    analysis._alpha_k_frame.cache_clear()
+    reports = analysis.suite_alpha_k(p=5, e=2, n=2)
+    assert len(reports) == 108 and all(r.holds for r in reports)
+    frame = analysis._alpha_k_frame.cache_info()
+    assert (frame.misses, frame.hits) == (1, 107)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3)])
+def test_alpha_k_frame_matches_the_per_state_oracle(p, e):
+    # every class and every k: the gap counts against a bisect per cyclic
+    # start, with the marks and the residue masks behind them
+    cert = find_primitive(RingContext(p, e), 2)
+    frame = analysis._alpha_k_frame(cert)
+    assert frame == oracles.alpha_k_frame_per_state(cert)
+    period = analysis._atlas(cert.f)[0][0].period
+    assert all(sum(gap) == period for gaps in frame[1] for gap in gaps)
 
 
 def test_verify_alpha_k_matches_per_state_oracle_on_forced_failures_p5():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import from_table_per_point, psi_zw_expanded
+from oracles import from_table_per_point, psi_zw_expanded, value_table_by_eval_map
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn, interpolate
 from residueseq.polyring import RingPolynomial
@@ -173,6 +173,19 @@ def test_value_table_matches_eval():
         assert table[v] == eval_map(m, (v % 3, v // 3))
     with pytest.raises(InvalidInputError):
         value_table(m, RingContext(3, 3))
+
+
+@pytest.mark.parametrize("p, e", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (3, 4)])
+def test_value_table_matches_the_eval_map_table(p, e):
+    # the tables of g and eta, read by digit, against eval_map per residue
+    rng = random.Random(p * 10 + e)
+    ctx = RingContext(p, e)
+    for _ in range(30):
+        deg = rng.randrange(1, p)
+        g = UnivariateFn(p, tuple(rng.randrange(p) for _ in range(deg)) + (rng.randrange(1, p),))
+        eta = from_table(p, e - 1, [rng.randrange(p) for _ in range(p ** (e - 1))])
+        m = CompressingMap(g=g, eta=eta, e=e)
+        assert value_table(m, ctx) == value_table_by_eval_map(m, ctx)
 
 
 def test_text_format_roundtrip():

@@ -270,6 +270,18 @@ def test_every_producer_stores_the_same_values_alike(p, e, coeffs):
     assert a0.period == p**f.degree - 1  # f mod p is primitive: no short cycle
 
 
+@pytest.mark.parametrize("p,coeffs", [(3, (8, 8, 1)), (17, (3, 1, 1))])
+def test_sequences_are_unhashable_whatever_their_store(p, coeffs):
+    # m = 9 stores bytes and m = 289 an array: neither hashes, both compare
+    f = RingPolynomial(RingContext(p, 2), coeffs)
+    s, again = generate(f, (0, 1)), generate(f, (0, 1))
+    a, a_again = level(s, 1), level(again, 1)
+    for seq, same in ((s, again), (a, a_again)):
+        with pytest.raises(TypeError):
+            hash(seq)
+        assert seq == same and seq is not same
+
+
 def test_level_of_scaled_msequence():
     # 3 * (m-sequence lift): level 1 recovers the m-sequence itself
     s = generate(FIB9, (0, 3))
