@@ -15,14 +15,12 @@ import bisect
 import collections
 import copy
 import functools
-import inspect
 import itertools
 import math
 import operator
 import random
 import time
 from array import array
-from dataclasses import dataclass
 
 from .errors import InvalidInputError
 from .ringcore import (
@@ -64,18 +62,13 @@ DEFAULT_BUDGET = 10**8
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
-class UniformityReport:
-    """Outcome record of one experiment cell."""
+class UniformityReport(collections.namedtuple(
+        "UniformityReport", "experiment params verdict witness counts sampled seed ms",
+        defaults=(0,))):
+    """Outcome record of one experiment cell; witness is None when the
+    verdict holds."""
 
-    experiment: str
-    params: dict
-    verdict: str
-    witness: dict | None
-    counts: dict
-    sampled: bool
-    seed: int
-    ms: int = 0
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -529,17 +522,12 @@ def construct_thm8(
     return CompressingMap(g=g, eta=psi_zw(p, e, z, min(allowed)), e=e)
 
 
-@dataclass
-class UniformCount:
-    """Per-s verdicts of the scaled-pair uniformity scan."""
+class UniformCount(collections.namedtuple(
+        "UniformCount", "holding vacuous failing pairs positions sampled seed")):
+    """Per-s verdicts of the scaled-pair uniformity scan: the s that hold,
+    the s outside the image, and a witness for each failing s."""
 
-    holding: tuple[int, ...]
-    vacuous: tuple[int, ...]
-    failing: dict[int, dict]
-    pairs: int
-    positions: int
-    sampled: bool
-    seed: int
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -1160,6 +1148,14 @@ ALL_SUITES = (
 SUITE_NAMES = (*SUITES, "all")
 
 
+def parameter_names(fn) -> tuple[str, ...]:
+    """The parameter names of fn in signature order, read off its code
+    object: inspect.signature would load inspect and what it imports at
+    every start. A suite takes no *args or **kwargs."""
+    code = fn.__code__
+    return code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+
+
 def run_suite(
     name: str,
     budget: int = DEFAULT_BUDGET,
@@ -1174,7 +1170,7 @@ def run_suite(
     for entry, kwargs in ALL_SUITES if name == "all" else ((name, overrides),):
         if entry not in SUITES:
             raise InvalidInputError(f"unknown suite {entry!r}; choose from {SUITE_NAMES}")
-        takes = inspect.signature(SUITES[entry]).parameters
+        takes = parameter_names(SUITES[entry])
         shared = {k: v for k, v in (("budget", budget), ("seed", seed)) if k in takes}
         # looked up by name, so a wrapper installed on the module attribute
         # (a tracer or profiler) sees the call

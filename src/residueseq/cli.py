@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import sys
@@ -278,7 +277,7 @@ def _suite_flags(cmd, name: str) -> None:
     # SUITES, not the module attributes, which a tracer may wrap; `all`
     # is no SUITES entry
     suite = analysis.SUITES.get(name)
-    takes = inspect.signature(suite).parameters if suite else ("budget",)
+    takes = analysis.parameter_names(suite) if suite else ("budget",)
     for param, (flag, options) in SUITE_FLAGS.items():
         if param in takes or param == "seed":
             cmd.add_argument(flag, dest=param, **options)

@@ -10,41 +10,34 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .errors import InvalidInputError
 from .ringcore import (
-    RingContext, UnivariateFn, _fold_exponent, interpolate, is_odd_prime,
+    RingContext, UnivariateFn, _fold_exponent, checked_record, interpolate, is_odd_prime,
 )
 from .sequences import LRSequence, LevelSequence, level_sequence
 
 
-@dataclass(frozen=True)
-class MultivariatePoly:
-    """Canonical multivariate polynomial over Z/p with x^p = x reduced."""
+class MultivariatePoly(checked_record("MultivariatePoly", "p arity coeffs")):
+    """Canonical multivariate polynomial over Z/p with x^p = x reduced;
+    coeffs maps exponent tuples to nonzero coefficients."""
 
-    p: int
-    arity: int
-    coeffs: dict[tuple[int, ...], int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise InvalidInputError(f"p must be an odd prime, got {self.p}")
-        if self.arity < 0:
+    def __new__(cls, p: int, arity: int, coeffs: dict):
+        if not is_odd_prime(p):
+            raise InvalidInputError(f"p must be an odd prime, got {p}")
+        if arity < 0:
             raise InvalidInputError("arity must be nonnegative")
         clean = {}
-        for exps, c in self.coeffs.items():
-            if len(exps) != self.arity:
-                raise InvalidInputError(
-                    f"exponent tuple {exps} does not match arity {self.arity}"
-                )
-            folded = tuple(_fold_exponent(k, self.p) for k in exps)
-            c %= self.p
+        for exps, c in coeffs.items():
+            if len(exps) != arity:
+                raise InvalidInputError(f"exponent tuple {exps} does not match arity {arity}")
+            folded = tuple(_fold_exponent(k, p) for k in exps)
+            c %= p
             if c:
-                clean[folded] = (clean.get(folded, 0) + c) % self.p
-        object.__setattr__(
-            self, "coeffs", {k: v for k, v in sorted(clean.items()) if v}
-        )
+                clean[folded] = (clean.get(folded, 0) + c) % p
+        return tuple.__new__(cls, (p, arity, {k: v for k, v in sorted(clean.items()) if v}))
 
     def __hash__(self):
         return hash((self.p, self.arity, tuple(self.coeffs.items())))
@@ -118,27 +111,21 @@ def is_permutation(g: UnivariateFn) -> bool:
     return len(image_set(g)) == g.p
 
 
-@dataclass(frozen=True)
-class CompressingMap:
+class CompressingMap(checked_record("CompressingMap", "g eta e")):
     """phi(x_0, ..., x_{e-1}) = g(x_{e-1}) + eta(x_0, ..., x_{e-2})."""
 
-    g: UnivariateFn
-    eta: MultivariatePoly
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.e < 2:
+    def __new__(cls, g: UnivariateFn, eta: MultivariatePoly, e: int):
+        if e < 2:
             raise InvalidInputError("compressing maps need e >= 2")
-        if self.eta.p != self.g.p:
+        if eta.p != g.p:
             raise InvalidInputError("g and eta must share the same p")
-        if self.eta.arity != self.e - 1:
-            raise InvalidInputError(
-                f"eta must take {self.e - 1} variables, got {self.eta.arity}"
-            )
-        if not 1 <= self.g.degree <= self.g.p - 1:
-            raise InvalidInputError(
-                f"deg g must lie in [1, {self.g.p - 1}], got {self.g.degree}"
-            )
+        if eta.arity != e - 1:
+            raise InvalidInputError(f"eta must take {e - 1} variables, got {eta.arity}")
+        if not 1 <= g.degree <= g.p - 1:
+            raise InvalidInputError(f"deg g must lie in [1, {g.p - 1}], got {g.degree}")
+        return tuple.__new__(cls, (g, eta, e))
 
     @property
     def p(self) -> int:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import CertificateError, InvalidInputError
-from .ringcore import RingContext
+from .ringcore import RingContext, checked_record
 
 __all__ = [
     "RingPolynomial",
@@ -32,19 +31,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RingPolynomial:
+class RingPolynomial(checked_record("RingPolynomial", "ctx coeffs")):
     """Polynomial over Z/(p^e), coefficients constant-first and trimmed."""
 
-    ctx: RingContext
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.ctx.modulus
-        cs = [c % m for c in self.coeffs]
+    def __new__(cls, ctx: RingContext, coeffs):
+        m = ctx.modulus
+        cs = [c % m for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        return tuple.__new__(cls, (ctx, tuple(cs)))
 
     @property
     def degree(self) -> int:

@@ -8,9 +8,9 @@ degree < n; h_1 mod p decides strong primitivity.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
-from dataclasses import dataclass
 
 from .errors import CertificateError, InvalidInputError
 from .ringcore import RingContext
@@ -76,18 +76,12 @@ def compute_h(f: RingPolynomial, i: int) -> RingPolynomial:
     return RingPolynomial(ctx, tuple(h))
 
 
-@dataclass(frozen=True)
-class PrimitivityCertificate:
+class PrimitivityCertificate(collections.namedtuple(
+        "PrimitivityCertificate", "f n T period h1 h_f strongly_primitive seed",
+        defaults=(None,))):
     """Order facts and lift polynomials for a primitive f."""
 
-    f: RingPolynomial
-    n: int
-    T: int
-    period: int
-    h1: RingPolynomial
-    h_f: RingPolynomial
-    strongly_primitive: bool
-    seed: int | None = None
+    __slots__ = ()
 
 
 def order_and_certificate(

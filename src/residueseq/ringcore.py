@@ -6,9 +6,9 @@ the ambient ring and validates it once.
 
 from __future__ import annotations
 
+import collections
 import functools
 import re
-from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
 
@@ -28,23 +28,33 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingContext:
+def checked_record(name: str, fields: str):
+    """A namedtuple base whose _make, and so _replace, go back through the
+    subclass constructor: a modified copy is checked and normalised like
+    any new record."""
+    base = collections.namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class RingContext(checked_record("RingContext", "p e")):
     """The ambient ring Z/(p^e) for an odd prime p and exponent e >= 1."""
 
-    p: int
-    e: int
-    modulus: int = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise InvalidInputError(f"p must be an odd prime, got {self.p}")
-        if self.e < 1:
-            raise InvalidInputError(f"e must be >= 1, got {self.e}")
-        m = self.p ** self.e
+    def __new__(cls, p: int, e: int):
+        if not is_odd_prime(p):
+            raise InvalidInputError(f"p must be an odd prime, got {p}")
+        if e < 1:
+            raise InvalidInputError(f"e must be >= 1, got {e}")
+        m = p ** e
         if m >= MAX_MODULUS:
-            raise InvalidInputError(f"{self.p}^{self.e} = {m} exceeds the 2^31 cap")
-        object.__setattr__(self, "modulus", m)
+            raise InvalidInputError(f"{p}^{e} = {m} exceeds the 2^31 cap")
+        return tuple.__new__(cls, (p, e))
+
+    @property
+    def modulus(self) -> int:
+        return self.p ** self.e
 
     def check(self, value: int) -> int:
         if not 0 <= value < self.modulus:
@@ -88,27 +98,25 @@ def _fold_exponent(k: int, p: int) -> int:
     return (k - 1) % (p - 1) + 1 if k else 0
 
 
-@dataclass(frozen=True)
-class UnivariateFn:
+class UnivariateFn(checked_record("UnivariateFn", "p coeffs")):
     """A function Z/p -> Z/p as its unique polynomial of degree < p.
 
     Coefficients are constant-first with trailing zeros trimmed; exponents
     >= p are folded by x^p = x at construction.
     """
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise InvalidInputError(f"p must be an odd prime, got {self.p}")
-        folded = [0] * self.p
-        for k, c in enumerate(self.coeffs):
-            k = _fold_exponent(k, self.p)
-            folded[k] = (folded[k] + c) % self.p
+    def __new__(cls, p: int, coeffs):
+        if not is_odd_prime(p):
+            raise InvalidInputError(f"p must be an odd prime, got {p}")
+        folded = [0] * p
+        for k, c in enumerate(coeffs):
+            k = _fold_exponent(k, p)
+            folded[k] = (folded[k] + c) % p
         while folded and folded[-1] == 0:
             folded.pop()
-        object.__setattr__(self, "coeffs", tuple(folded))
+        return tuple.__new__(cls, (p, tuple(folded)))
 
     @property
     def degree(self) -> int:

@@ -12,11 +12,11 @@ a(i+n) = [c_{n-1} a(i+n-1) + ... + c_0 a(i)] mod p^e.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 
 from .errors import InvalidInputError
 from .primitivity import PrimitivityCertificate, compute_h
@@ -29,15 +29,11 @@ from .polyring import (
 from .ringcore import RingContext, carry_c1, digit_table
 
 
-@dataclass(frozen=True)
-class LRSequence:
-    """A recurring sequence with one least period of terms."""
+class LRSequence(collections.namedtuple("LRSequence", "f initial_state terms period")):
+    """A recurring sequence with one least period of terms, stored by
+    _store and read-only."""
 
-    f: RingPolynomial
-    initial_state: tuple[int, ...]
-    terms: bytes | array  # one least period, stored by _store; read-only
-    period: int
-
+    __slots__ = ()
     __hash__ = None  # unhashable whichever store holds the terms (an array cannot hash)
 
     def at(self, t: int) -> int:
@@ -54,14 +50,11 @@ class LRSequence:
                           terms=self.terms[r:] + self.terms[:r], period=self.period)
 
 
-@dataclass(frozen=True)
-class LevelSequence:
-    """A sequence over Z/p with one least period of terms."""
+class LevelSequence(collections.namedtuple("LevelSequence", "p terms period")):
+    """A sequence over Z/p with one least period of terms, stored by
+    _store and read-only."""
 
-    p: int
-    terms: bytes | array  # one least period, stored by _store; read-only
-    period: int
-
+    __slots__ = ()
     __hash__ = None  # unhashable whichever store holds the terms (an array cannot hash)
 
     def at(self, t: int) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -326,7 +325,7 @@ def test_verify_alpha_k_matches_per_state_oracle_on_forced_failures():
     # the strong-primitivity guard, fails 18 of its 54 cells
     weak = certify(RingPolynomial(Z9, (2, 2, 1)))
     assert not weak.strongly_primitive
-    forced = dataclasses.replace(weak, strongly_primitive=True)
+    forced = weak._replace(strongly_primitive=True)
     fails = 0
     for table in itertools.product(range(3), repeat=3):
         m = CompressingMap(g=UnivariateFn(3, (0, 0, 1)), eta=from_table(3, 1, table), e=2)
@@ -435,7 +434,7 @@ def test_verify_alpha_k_matches_per_state_oracle_on_forced_failures_p5():
     ctx = RingContext(5, 2)
     weak = certify(next(f for f in iter_primitive(ctx, 2) if not certify(f).strongly_primitive))
     assert not weak.strongly_primitive
-    forced = dataclasses.replace(weak, strongly_primitive=True)
+    forced = weak._replace(strongly_primitive=True)
     fails = 0
     for seed in range(5):
         table = random.Random(seed).choices(range(5), k=5)
@@ -449,7 +448,7 @@ def test_verify_alpha_k_matches_per_state_oracle_on_forced_failures_p5():
 
 
 STRONG9 = certify(RingPolynomial(Z9, (2, 1, 1)))
-FORCED9 = dataclasses.replace(certify(RingPolynomial(Z9, (2, 2, 1))), strongly_primitive=True)
+FORCED9 = certify(RingPolynomial(Z9, (2, 2, 1)))._replace(strongly_primitive=True)
 
 
 @settings(max_examples=80, deadline=None)

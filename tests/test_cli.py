@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.util
 import inspect
@@ -558,6 +557,26 @@ def test_each_suite_declares_exactly_the_flags_of_its_parameters(capsys, suite):
     assert again.suite == suite and _suite_overrides(again) == overrides
 
 
+@pytest.mark.parametrize("suite", analysis.SUITES)
+def test_parameter_names_match_the_signature_of_each_suite(suite):
+    fn = analysis.SUITES[suite]
+    assert analysis.parameter_names(fn) == tuple(inspect.signature(fn).parameters)
+
+
+def test_the_cli_starts_without_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and typing is as
+    # heavy: each costs milliseconds at every start of the CLI. -S keeps out
+    # whatever site-packages .pth files import.
+    src = str(Path(__file__).parent.parent / "src")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    code = ("import sys, residueseq.cli as c; c.build_parser(); "
+            f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 def test_benchmark_workloads_parse_and_periods_keeps_its_digest(capsys, monkeypatch):
     # bench/harness.py appends --seed to every workload's argv, periods-p7's
     # too, and bench/reference.json pins one periods-p7 digest for all seeds
@@ -759,7 +778,7 @@ def _thm8_rejecting_nothing(g, s, lam, r, e):
 
 def _count_missing_one(*args, **kwargs):
     uc = COUNT_UNIFORM_S(*args, **kwargs)
-    return dataclasses.replace(uc, holding=uc.holding[1:])
+    return uc._replace(holding=uc.holding[1:])
 
 
 @pytest.mark.parametrize("argv, name, fake, experiment, keys", [

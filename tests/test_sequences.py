@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from array import array
@@ -362,11 +361,11 @@ def test_carry_identity_e3():
 
 def _h_f_plus_one(cert):
     h = cert.h_f
-    return dataclasses.replace(cert, h_f=RingPolynomial(h.ctx, (h.coeff(0) + 1,) + h.coeffs[1:]))
+    return cert._replace(h_f=RingPolynomial(h.ctx, (h.coeff(0) + 1,) + h.coeffs[1:]))
 
 
 def _period_times_p_plus_one(cert):
-    return dataclasses.replace(cert, T=(cert.f.ctx.p + 1) * cert.T)
+    return cert._replace(T=(cert.f.ctx.p + 1) * cert.T)
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (3, 4), (5, 3)])
