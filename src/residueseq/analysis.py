@@ -40,6 +40,7 @@ from .primitivity import (
 from .sequences import (
     LRSequence,
     LevelSequence,
+    _impulse,
     alpha_sequence,
     generate,
     identity_failure,
@@ -285,9 +286,9 @@ def _atlas(f: RingPolynomial, primitive: bool = True):
 
 def _lex_reps(f: RingPolynomial):
     """The reps of shift_classes(f), one at a time. The class through
-    (0, ..., 0, 1), the lex-first primitive state, is generated alone; the
-    others are enumerated only once it is read past."""
-    yield generate(f, (0,) * (f.degree - 1) + (1,))
+    (0, ..., 0, 1), the lex-first primitive state, is walked alone, with no
+    _basis; the others are enumerated only once it is read past."""
+    yield _impulse(f)
     yield from shift_classes(f)[0][1:]
 
 

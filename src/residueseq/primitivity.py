@@ -4,11 +4,18 @@ A monic f over Z/(p^e) with unit constant term is primitive when the
 order of x mod f reaches p^(e-1) * (p^n - 1). For primitive f the residue
 x^(p^(i-1)*T) mod f equals 1 + p^i * h_i(x) for lift polynomials h_i of
 degree < n; h_1 mod p decides strong primitivity.
+
+The search needs the order over Z/p only to know whether it is
+T = p^n - 1, so it asks each residue mod p that question alone: x^T = 1
+and x^(T/q) != 1 for each prime q of T, once per residue. Only the lifts
+of a residue that passes are built and lifted to their order over
+Z/(p^e); certify and order_of_x take the exact order by descent.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import random
 
@@ -16,8 +23,10 @@ from .errors import CertificateError, InvalidInputError
 from .ringcore import RingContext
 from .polyring import (
     RingPolynomial,
+    _factorize,
     _lift_order,
-    _order_mod_p,
+    _powmod,
+    _reduce,
     order_of_x,
     poly_powmod,
     reduce_mod_p,
@@ -40,13 +49,30 @@ def _qualifies(f: RingPolynomial, period: int, strongly: bool = False) -> bool:
     return period == ward_bound(f) and (not strongly or _strong(f, compute_h(f, 1)))
 
 
-def _search_order(f: RingPolynomial) -> int:
-    # the order of x mod f for a search candidate, or 0 when f mod p is not
-    # primitive: that order is T1 * p^j with j < e and T1 the order over
-    # Z/p, so a T1 short of p^n - 1 rules f out before any lift
-    p = f.ctx.p
-    t = _order_mod_p(p, tuple(c % p for c in f.coeffs))
-    return _lift_order(f, t) if t == p**f.degree - 1 else 0
+@functools.lru_cache(maxsize=None)
+def _unit_primes(p: int, n: int) -> tuple[int, ...]:
+    # the primes of T = p^n - 1, the order of the units of GF(p^n)
+    return tuple(_factorize(p**n - 1))
+
+
+@functools.lru_cache(maxsize=4096)
+def _primitive_mod_p(p: int, fc: tuple[int, ...]) -> bool:
+    # whether x has order T = p^n - 1 mod f over Z/p (fc: f mod p, monic):
+    # x^T = 1 and x^(T/q) != 1 for each prime q of T, which is exact; every
+    # lift of one residue shares it, and the cache is bounded like
+    # _order_mod_p's so that a long random search keeps its memory
+    n = len(fc) - 1
+    T = p**n - 1
+    x = _reduce([0, 1], fc, p)
+    return (_powmod(x, T, fc, p) == (1,)
+            and all(_powmod(x, T // q, fc, p) != (1,) for q in _unit_primes(p, n)))
+
+
+def _search_residue(p: int, lower: tuple[int, ...]) -> bool:
+    # the search's test of a candidate x^n + ... + c_0 before it is built:
+    # its order over Z/(p^e) is T1 * p^j with j < e and T1 its order over
+    # Z/p, so a T1 short of p^n - 1 rules it out before any lift
+    return _primitive_mod_p(p, tuple(c % p for c in lower) + (1,))
 
 
 def compute_h(f: RingPolynomial, i: int) -> RingPolynomial:
@@ -109,21 +135,23 @@ def certify(f: RingPolynomial, seed: int | None = None) -> PrimitivityCertificat
     return cert
 
 
-def iter_monic_polys(ctx: RingContext, n: int):
+def iter_monic_polys(ctx: RingContext, n: int, keep=None):
     """Monic degree-n polynomials with unit constant term, lexicographic
-    in the coefficient tuple (c_0, ..., c_{n-1})."""
+    in the coefficient tuple (c_0, ..., c_{n-1}); keep, when given, is
+    asked of each such tuple before its polynomial is built."""
     if n < 1:
         raise InvalidInputError(f"degree must be >= 1, got {n}")
     for lower in itertools.product(range(ctx.modulus), repeat=n):
-        if lower[0] % ctx.p == 0:
-            continue
-        yield RingPolynomial(ctx, lower + (1,))
+        if lower[0] % ctx.p and (keep is None or keep(lower)):
+            yield RingPolynomial(ctx, lower + (1,))
 
 
 def iter_primitive(ctx: RingContext, n: int, strongly: bool = False):
-    """Exhaustive stream of (strongly) primitive degree-n polynomials."""
-    for f in iter_monic_polys(ctx, n):
-        if _qualifies(f, _search_order(f), strongly):
+    """Exhaustive stream of (strongly) primitive degree-n polynomials: only
+    the lifts of residues primitive over Z/p are built and ordered."""
+    T = ctx.p**n - 1
+    for f in iter_monic_polys(ctx, n, functools.partial(_search_residue, ctx.p)):
+        if _qualifies(f, _lift_order(f, T), strongly):
             yield f
 
 
@@ -148,11 +176,11 @@ def find_primitive(
         return None
     rng = random.Random(seed)
     for _ in range(search_budget):
-        lower = [rng.randrange(ctx.modulus) for _ in range(n)]
-        if lower[0] % ctx.p == 0:
+        lower = tuple(rng.randrange(ctx.modulus) for _ in range(n))
+        if lower[0] % ctx.p == 0 or not _search_residue(ctx.p, lower):
             continue
-        f = RingPolynomial(ctx, tuple(lower) + (1,))
-        if _qualifies(f, _search_order(f), strongly):
+        f = RingPolynomial(ctx, lower + (1,))
+        if _qualifies(f, _lift_order(f, ctx.p**n - 1), strongly):
             return certify(f, seed=seed)
     return None
 

@@ -89,10 +89,11 @@ def least_period(values) -> int:
 def _store(values, modulus: int) -> bytes | array:
     """values as the term store of a sequence mod modulus: bytes when
     modulus <= 256, else an array (RingContext keeps moduli below 2^31, so
-    "L" holds every residue). Terms already stored so pass through; other
-    values are read one by one, never as a raw buffer."""
+    "L" holds every residue). Terms already stored so pass through, a
+    bytearray is read as its bytes, and other values are read one by one,
+    never as a raw buffer."""
     if modulus <= 256:
-        return values if type(values) is bytes else bytes(iter(values))
+        return bytes(values if type(values) in (bytes, bytearray) else iter(values))
     return values if type(values) is array else array("L", iter(values))
 
 
@@ -108,9 +109,9 @@ def recurrence_coeffs(f: RingPolynomial) -> tuple[int, ...]:
     return tuple((-f.coeff(k)) % m for k in range(f.degree))
 
 
-def _walk(f: RingPolynomial, init: tuple[int, ...]) -> list[int]:
+def _walk(f: RingPolynomial, init: tuple[int, ...]) -> bytes | array:
     """One least period of the sequence of f from init, a term at a time,
-    until the state recurs.
+    until the state recurs, stored by _store.
 
     The state is packed into one int, entry k in slot k of w bits, and the
     coefficients c_{n-1}, ..., c_0 into another, so that slot n-1 of their
@@ -127,14 +128,15 @@ def _walk(f: RingPolynomial, init: tuple[int, ...]) -> list[int]:
     for c, v in zip(recurrence_coeffs(f), reversed(init)):
         coeffs = coeffs << w | c
         start = start << w | v
-    terms = list(init)
-    code = start
+    terms = bytearray(init) if m <= 256 else array("L", init)
+    append, code = terms.append, start
     for t in range(1, ward_bound(f) + 1):
         nxt = (code * coeffs >> top & slot) % m
         code = code >> w | nxt << top
         if code == start:
-            return terms[:t]
-        terms.append(nxt)
+            del terms[t:]
+            return _store(terms, m)
+        append(nxt)
     raise InvalidInputError(f"no state recurrence within the Ward bound for {f}")
 
 
@@ -144,6 +146,20 @@ def _little(slots: array) -> array:
     if sys.byteorder == "big":
         slots.byteswap()
     return slots
+
+
+def _packed(terms: bytes | array, b: int) -> int:
+    # stored terms as one int, term t in the b-byte slot t at bits 8*b*t:
+    # their little-endian bytes spread to the slot width by strided slices,
+    # so no term becomes an int object
+    data = terms if type(terms) is bytes else _little(terms[:]).tobytes()
+    a = len(data) // len(terms)
+    if a != b:
+        spread = bytearray(len(terms) * b)
+        for k in range(min(a, b)):
+            spread[k::b] = data[k::a]
+        data = spread
+    return int.from_bytes(data, "little")
 
 
 @functools.lru_cache(maxsize=2)
@@ -179,7 +195,7 @@ def _basis(f: RingPolynomial):
     length, w = len(u), 8 * array(typecode).itemsize
     full = (1 << length * w) - 1
     mask = full // ((1 << w) - 1) * ((1 << (w - shift)) - 1)
-    packed = int.from_bytes(_little(array(typecode, u)).tobytes(), "little")
+    packed = _packed(u, w // 8)
     units = [0] * n
     for j in range(n):
         row = packed >> j * w | packed << (length - j) * w & full
@@ -208,7 +224,7 @@ def generate(f: RingPolynomial, init) -> LRSequence:
         raise InvalidInputError(f"initial state needs {n} entries, got {len(init)}")
     basis = _basis(f)
     if basis is None:
-        terms = _store(_walk(f, init), m)
+        terms = _walk(f, init)
     else:
         typecode, nbytes, units, mu, shift, mask = basis
         total = sum(map(operator.mul, init, units))
@@ -219,6 +235,16 @@ def generate(f: RingPolynomial, init) -> LRSequence:
         else:
             terms = _little(array(typecode, data))
         terms = terms[:least_period(terms)]
+    return LRSequence(f=f, initial_state=init, terms=terms, period=len(terms))
+
+
+def _impulse(f: RingPolynomial) -> LRSequence:
+    """generate(f, (0, ..., 0, 1)) by the walk alone, with no _basis: a
+    caller that reads only this sequence pays one step and one stored term
+    per term of its period."""
+    f.check_generator()
+    init = (0,) * (f.degree - 1) + (1,)
+    terms = _walk(f, init)
     return LRSequence(f=f, initial_state=init, terms=terms, period=len(terms))
 
 

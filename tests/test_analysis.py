@@ -610,6 +610,24 @@ def test_count_uniform_s_sampled_walks_no_class():
     assert peak < 8 * 2**20
 
 
+def test_count_uniform_s_walks_one_class_without_basis():
+    # the exact thm9 count at p = 53 reads a few terms of the class through
+    # (0, 1), 148,824 of them: walked alone it holds about 1.2 MB, where
+    # generating it through _basis peaked at 16 MB
+    ctx = RingContext(53, 2)
+    cert = find_primitive(ctx, 2, strongly=True)
+    m = CompressingMap(g=UnivariateFn(53, (0, 0, 1)), eta=psi_zw(53, 2, 0, thm9_choose_w(53)), e=2)
+    sequences._basis.cache_clear()
+    tracemalloc.start()
+    try:
+        uc = count_uniform_s(cert, m, ctx.modulus - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not uc.sampled and uc.count == 53 // 4 + 1
+    assert peak < 4 * 2**20
+
+
 def test_count_uniform_s_budget_prices_tables_and_failing_walks():
     ctx = RingContext(5, 2)
     cert = find_primitive(ctx, 2, strongly=True)

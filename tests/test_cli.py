@@ -274,14 +274,18 @@ GENERATED = ("sequences.generate.terms",)
 @pytest.mark.parametrize("workload, argv, counted", [
     ("verify-all", ["verify", "all"], (*GENERATED, "analysis.shift_classes.classes")),
     ("periods-p7", ["verify", "periods", "--p", "7", "--e", "2"], GENERATED),  # bytes terms
-    ("thm9-p17-19", ["verify", "thm9", "--p", "17,19"], GENERATED),  # array terms: m = 289, 361
-], ids=["verify-all", "periods-p7", "thm9-p17-19"])
+    # thm9 walks its one class without generate
+    ("thm9-p17-19", ["verify", "thm9", "--p", "17,19"], ("primitivity.iter_monic_polys.yielded",)),
+    ("recurrence-289", ["verify", "recurrence", "--p", "17", "--e", "2"], GENERATED),  # array terms
+], ids=["verify-all", "periods-p7", "thm9-p17-19", "recurrence-289"])
 def test_benchmark_tracer_runs_workloads_unchanged(tmp_path, workload, argv, counted):
     # bench/traced.py wraps every layer it names and reads the results of
     # two: len(seq.terms) and the hashable seq.initial_state of each
     # generate, and the reps of shift_classes' (reps, walked). A name or a
     # shape that drifts from it, under either term store, fails here, not
-    # first in a traced benchmark run whose last line is then no result
+    # first in a traced benchmark run whose last line is then no result.
+    # The benchmark workloads print their bench/reference.json digests;
+    # recurrence at m = 289 prints the digest CI pins for it
     root = Path(__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
@@ -295,8 +299,9 @@ def test_benchmark_tracer_runs_workloads_unchanged(tmp_path, workload, argv, cou
     assert untraced.returncode == 0, untraced.stderr.decode()
     assert traced.stdout == untraced.stdout
     reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
-    digest = reference["workloads"][workload]["stdout_sha256"]["0"]
-    assert hashlib.sha256(traced.stdout).hexdigest() == digest
+    digests = {name: w["stdout_sha256"]["0"] for name, w in reference["workloads"].items()}
+    digests["recurrence-289"] = "5a2ca60baf45157118123a1627be09d9e3e2cd783f6da08cc12abd6122fbef56"
+    assert hashlib.sha256(traced.stdout).hexdigest() == digests[workload]
     meta = json.loads(Path(f"{spans}.json").read_text(encoding="utf-8"))
     assert meta["absent"] == []
     assert all(meta["counters"][name] > 0 for name in counted)

@@ -255,13 +255,57 @@ def test_order_and_search_match_the_divisor_scan(p, e, n):
 
 
 def test_search_computes_one_mod_p_order_per_residue():
+    # the search asks each of the 42 unit-constant residues mod 7 once
+    # whether x has order 48, and each of its other candidates hits the
+    # bounded cache; none takes the order by descent
     ctx = RingContext(7, 2)
+    primitivity._primitive_mod_p.cache_clear()
     polyring._order_mod_p.cache_clear()
     assert len(list(iter_primitive(ctx, 2))) == 384
-    info = polyring._order_mod_p.cache_info()
+    info = primitivity._primitive_mod_p.cache_info()
     assert sum(1 for _ in iter_monic_polys(ctx, 2)) == 2058
     assert (info.misses, info.hits) == (42, 2058 - 42)
     assert info.maxsize is not None
+    assert polyring._order_mod_p.cache_info().currsize == 0
+
+
+RESIDUE_GRID = [(p, n) for p in (3, 5, 7, 11, 13) for n in (1, 2)] + [(3, 3), (5, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("p, n", RESIDUE_GRID)
+def test_residue_test_matches_the_order_by_descent(p, n):
+    # on every monic residue with a unit constant term, the search's test
+    # says exactly whether the order by descent is p^n - 1
+    verdicts = []
+    for lower in itertools.product(range(p), repeat=n):
+        if lower[0]:
+            fc = lower + (1,)
+            verdicts.append(primitivity._primitive_mod_p(p, fc))
+            assert verdicts[-1] == (polyring._order_mod_p(p, fc) == p**n - 1), fc
+    assert any(verdicts) and not all(verdicts)
+
+
+# certificates of the sampled search (p^(en) > EXHAUSTIVE_LIMIT), pinned
+# from the search that took each candidate's order by descent
+SAMPLED = {
+    (11, 3, 2, 0): ([1047, 995, 1], 14520, [32, 117], [10, 7]),
+    (11, 3, 2, 1): ([920, 967, 1], 14520, [55, 75], [0, 9]),
+    (13, 2, 3, 0): ([145, 56, 61, 1], 28548, [3, 5, 5], [3, 5, 5]),
+    (13, 2, 3, 1): ([124, 7, 99, 1], 28548, [9, 11], [9, 11]),
+    (3, 7, 2, 0): ([1952, 1466, 1], 5832, [520, 598], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("p, e, n, seed", sorted(SAMPLED))
+@pytest.mark.parametrize("strongly", [False, True])
+def test_sampled_search_keeps_its_certificates(p, e, n, seed, strongly):
+    assert (p**e) ** n > primitivity.EXHAUSTIVE_LIMIT
+    f, period, h1, h_f = SAMPLED[p, e, n, seed]
+    cert = find_primitive(RingContext(p, e), n, strongly=strongly, seed=seed)
+    assert certificate_to_dict(cert) == {
+        "p": p, "e": e, "n": n, "f": f, "period": period, "h1": h1, "h_f": h_f,
+        "strongly_primitive": True, "seed": seed,
+    }
 
 
 def test_search_lifts_only_the_candidates_primitive_mod_p(monkeypatch):

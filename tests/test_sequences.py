@@ -12,7 +12,8 @@ from oracles import (
     least_period_divisor_scan,
     unit_rows,
 )
-from residueseq.analysis import _sample_primitive_states
+from residueseq import sequences
+from residueseq.analysis import _lex_reps, _sample_primitive_states
 from residueseq.compress import CompressingMap, compress_sequence, zero_poly
 from residueseq.errors import InvalidInputError
 from residueseq.ringcore import RingContext, UnivariateFn
@@ -135,6 +136,22 @@ def test_generate_matches_the_term_loop(p, e, n, data):
     zero_mod_p = tuple(p * v % m for v in data.draw(residues))
     for state in ((0,) * n, zero_mod_p, (m - 1,) * n, tuple(data.draw(residues))):
         assert generate(f, state) == generate_loop(f, state)
+
+
+@pytest.mark.parametrize("p,e,n", BASIS_RINGS)
+def test_first_class_is_the_generated_impulse_sequence(p, e, n):
+    # _lex_reps walks the class through (0, ..., 0, 1) and builds no
+    # _basis; it is the sequence generate gives from that state, in the
+    # same store (bytes to p^e = 256, an array above, 65537 with no slot)
+    f = _first_primitive(p, e, n)
+    impulse = (0,) * (n - 1) + (1,)
+    sequences._basis.cache_clear()
+    walked = next(_lex_reps(f))
+    assert sequences._basis.cache_info().currsize == 0
+    generated = generate(f, impulse)
+    assert walked == generated
+    assert type(walked.terms) is type(generated.terms) is (bytes if p**e <= 256 else array)
+    assert (walked.period, walked.initial_state) == (generated.period, impulse)
 
 
 @pytest.mark.parametrize("p,e,n", [r for r in BASIS_RINGS if r[0] != 65537])
