@@ -40,7 +40,11 @@ from .primitivity import (
 from .sequences import (
     LRSequence,
     LevelSequence,
+    _equal_to,
     _impulse,
+    _scaled,
+    _sum_mod,
+    _tiled,
     alpha_sequence,
     generate,
     identity_failure,
@@ -304,7 +308,8 @@ def _alpha_k_frame(cert: PrimitivityCertificate):
     """(marks, gaps, masks): the part of the alpha-k cells of cert that no
     map changes, built once for the cells that share the generator;
     read-only. With L the period of the reps of _atlas(cert.f):
-    - marks[ci][k], the positions t < L where class ci's alpha is k, ascending;
+    - marks[ci][k], the positions t < L where class ci's alpha is k,
+      ascending, as an array: one itertools.compress of range(L) by alpha == k;
     - gaps[ci][k][c], the number of starts r < L whose first k-position at
       or after r, cyclically, is mark c: m_c - m_(c-1), and
       m_0 + L - m_(K-1) at c = 0, or L at c = 0 when there is no mark;
@@ -312,12 +317,13 @@ def _alpha_k_frame(cert: PrimitivityCertificate):
     """
     reps = _atlas(cert.f)[0]
     period = reps[0].period
+    typecode = next(tc for tc in "IQ" if period <= 1 << 8 * array(tc).itemsize)
     marks, gaps = [], []
     for alpha in _class_alphas(cert):
-        by_k = [[] for _ in range(cert.f.ctx.p)]
-        for t in range(period):
-            by_k[alpha.at(t)].append(t)
-        marks.append(tuple(map(tuple, by_k)))
+        terms = _tiled(alpha.terms, period)
+        by_k = tuple(array(typecode, itertools.compress(range(period), _equal_to(terms, k)))
+                     for k in range(cert.f.ctx.p))
+        marks.append(by_k)
         gaps.append(tuple((ts[0] + period - ts[-1], *map(operator.sub, ts[1:], ts[:-1]))
                           if ts else (period,) for ts in by_k))
     masks = [0] * cert.f.ctx.modulus
@@ -769,17 +775,25 @@ def suite_periods(p: int = 3, n: int = 2, es=(2, 3)) -> list[UniformityReport]:
 
 
 def _value_set(a: LevelSequence, b: LevelSequence, k: int) -> set[int]:
+    """The values of a at the t where b is k, over their joint period: both
+    streams tiled to it, b's translated to a 0/1 selector (b == k) and a's
+    read through itertools.compress; no term is added, so nothing overflows."""
     span = math.lcm(a.period, b.period)
-    return {a.at(t) for t in range(span) if b.at(t) == k}
+    return set(itertools.compress(_tiled(a.terms, span), _equal_to(_tiled(b.terms, span), k)))
 
 
 def _proportional(u: LevelSequence, v: LevelSequence, p: int) -> int | None:
-    # lambda with u = lambda * v, if any (0 allowed for the zero sequence).
-    span = math.lcm(u.period, v.period)
-    for lam in range(p):
-        if all(u.at(t) == lam * v.at(t) % p for t in range(span)):
-            return lam
-    return None
+    """The lambda in [0, p) with u = lambda * v mod p termwise, or None; 0
+    for a zero u against a zero v. Where v is first nonzero, at t0, only
+    lambda = u(t0) / v(t0) mod p can hold. Lambda = 0 needs u zero; a unit
+    lambda keeps the least period of v, so u = lambda * v is one compare of
+    the stored least periods: u against v scaled by one translate (a product
+    mod p is again a residue, so nothing overflows)."""
+    first = next(itertools.compress(itertools.count(), v.terms), None)
+    if first is None or not u.at(first):  # only lambda = 0 can hold
+        return None if any(u.terms) else 0
+    lam = u.at(first) * pow(v.terms[first], -1, p) % p
+    return lam if u.terms == _scaled(v.terms, lam, p) else None
 
 
 def _level_atlas(f: RingPolynomial, primitive: bool = True):
@@ -890,25 +904,33 @@ def _highest_level_failure(ctx: RingContext, n: int):
         alphas = _class_alphas(certify(f))
         return reps, slots, [(rep, level(rep, e - 1), alpha) for rep, alpha in zip(reps, alphas)]
 
+    def lower_equal(a_seq, b_seq, span):
+        # a = b mod p^(e-1) termwise: both reduced by one translate and compared
+        return (_scaled(_tiled(a_seq.terms, span), 1, low)
+                == _scaled(_tiled(b_seq.terms, span), 1, low))
+
     def cell(a, b):
+        # every stream tiled to the joint period; the differences
+        # b_top - lam * a_top mod p are one _sum_mod of two residue streams,
+        # read at alpha == k by itertools.compress
         (a_seq, a_top, alpha), (b_seq, b_top, beta) = a, b
         lam = _proportional(beta, alpha, p)
         if not lam:  # None, or the zero multiple
             return 0, None
         span = math.lcm(a_seq.period, b_seq.period, alpha.period)
-        lower_equal = all(a_seq.at(t) % low == b_seq.at(t) % low for t in range(span))
+        alpha = _tiled(alpha.terms, span)
+        diffs = _sum_mod((_tiled(b_top.terms, span), _scaled(_tiled(a_top.terms, span), p - lam, p)), p)
         cells = 0
         for k in range(1, p):
-            deltas = {(b_top.at(t) - lam * a_top.at(t)) % p
-                      for t in range(span) if alpha.at(t) == k}
+            deltas = set(itertools.compress(diffs, _equal_to(alpha, k)))
             if len(deltas) != 1:
                 continue
             cells += 1
             delta = deltas.pop()
             kinv = pow(k, p - 2, p)
-            diff_ok = all((b_top.at(t) - a_top.at(t)) % p == delta * kinv * alpha.at(t) % p
-                          for t in range(span))
-            if lam != 1 or not lower_equal or not diff_ok:
+            # with lam = 1, diffs is b_top - a_top, which must be delta * kinv * alpha
+            if (lam != 1 or not lower_equal(a_seq, b_seq, span)
+                    or diffs != _scaled(alpha, delta * kinv, p)):
                 return cells, {"k": k, "lambda": lam, "delta": delta}
         return cells, None
 

@@ -14,19 +14,15 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import operator
 import sys
 from array import array
 
 from .errors import InvalidInputError
 from .primitivity import PrimitivityCertificate, compute_h
-from .polyring import (
-    RingPolynomial,
-    _factorize,
-    apply_poly_to_sequence,
-    ward_bound,
-)
-from .ringcore import RingContext, carry_c1, digit_table
+from .polyring import RingPolynomial, _factorize, ward_bound
+from .ringcore import RingContext, digit_table
 
 
 class LRSequence(collections.namedtuple("LRSequence", "f initial_state terms period")):
@@ -273,18 +269,111 @@ def _check_same_generator(s: LRSequence, cert: PrimitivityCertificate) -> None:
         raise InvalidInputError("sequence was not generated by the certified f")
 
 
+# ---------------------------------------------------------------------------
+# residue streams: whole-period operations on stored terms. A stream of
+# residues mod q is stored by _store(values, q); bytes streams go through
+# bytes.translate and carry-free int additions, other streams through map
+# chains, so no Python code runs per term.
+
+@functools.lru_cache(maxsize=512)
+def _byte_table(c: int, q: int, d: int = 1) -> bytes:
+    # the translate table of v -> (c * v mod q) // d over every byte v, q <= 256
+    return bytes(c * v % q // d for v in range(256))
+
+
+@functools.lru_cache(maxsize=256)
+def _is_table(k: int) -> bytes:
+    # the translate table of v -> [v == k] over every byte v
+    return bytes(v == k for v in range(256))
+
+
+def _tiled(terms, span: int):
+    """terms repeated to span terms, span a multiple of their number, so that
+    tiled[t] is the term at t mod their number for every t < span."""
+    return terms * (span // len(terms))
+
+
+def _rotated(terms, r: int):
+    """terms[(t + r) mod len] at t: the same stream read r places on."""
+    r %= len(terms)
+    return terms[r:] + terms[:r]
+
+
+def _scaled(terms, c: int, q: int, d: int = 1):
+    """(c * v mod q) // d for each term v, stored by _store(.., ceil(q/d)):
+    one translate of bytes terms when q <= 256, else a map chain."""
+    c %= q
+    if type(terms) is bytes and q <= 256:
+        return terms.translate(_byte_table(c, q, d))
+    values = map(operator.mod, map(c.__mul__, terms), itertools.repeat(q))
+    if d > 1:
+        values = map(operator.floordiv, values, itertools.repeat(d))
+    return _store(values, -(-q // d))
+
+
+def _equal_to(terms, k: int):
+    """[v == k] for each term v: a selector stream for itertools.compress."""
+    return terms.translate(_is_table(k)) if type(terms) is bytes else map(k.__eq__, terms)
+
+
+def _sum_mod(streams, q: int):
+    """(x_0(t) + x_1(t) + ...) mod q for streams of residues mod q of one
+    length, stored by _store(.., q). When q <= 128 the streams are bytes, and
+    their little-endian ints add byte by byte with no carry between bytes
+    while a byte sums at most 255 // (q - 1) residues; one translate reduces
+    each such partial sum mod q. Larger q adds by map chains."""
+    if q > 128:
+        return _store(map(operator.mod, map(sum, zip(*streams)), itertools.repeat(q)), q)
+    size, reduce, per = len(streams[0]), _byte_table(1, q), 255 // (q - 1)
+    total = count = 0
+    for x in streams:
+        if count == per:
+            total = int.from_bytes(total.to_bytes(size, "little").translate(reduce), "little")
+            count = 1
+        total += int.from_bytes(x, "little")
+        count += 1
+    return total.to_bytes(size, "little").translate(reduce)
+
+
+def _carries(x, y, p: int):
+    """[x(t) + y(t) >= p] for two streams of residues mod p: the carry out of
+    digit 0. Two residues sum below 2p, within a byte when p <= 128."""
+    if p > 128:
+        return _store(map(p.__le__, map(operator.add, x, y)), p)
+    total = int.from_bytes(x, "little") + int.from_bytes(y, "little")
+    return total.to_bytes(len(x), "little").translate(_byte_table(1, 256, p))
+
+
+def _applied(coeffs, terms, q: int):
+    """sum_k c_k * terms(t + k) mod q over one period of terms, the shifts
+    wrapping at their number: each nonzero c_k mod q scales a rotation, and
+    _sum_mod adds them."""
+    streams = [_scaled(_rotated(terms, k), c, q) for k, c in enumerate(coeffs) if c % q]
+    return _sum_mod(streams, q) if streams else _store(bytes(len(terms)), q)
+
+
+def _first_mismatch(x, y) -> int:
+    """The least t with x(t) != y(t), for streams that differ."""
+    return next(itertools.compress(itertools.count(), map(operator.ne, x, y)))
+
+
 def is_primitive_sequence(s: LRSequence, cert: PrimitivityCertificate) -> bool:
-    """True iff the mod-p reduction of s is not identically zero."""
+    """True iff the mod-p reduction of s is not identically zero: the terms
+    reduced mod p by one translate (a map chain above 256) have a nonzero."""
     _check_same_generator(s, cert)
-    p = s.f.ctx.p
-    return any(v % p for v in s.terms)
+    return any(_scaled(s.terms, 1, s.f.ctx.p))
 
 
 def apply_mod_p(g: RingPolynomial, lvl: LevelSequence) -> LevelSequence:
-    """Apply g to a mod-p sequence, reducing the result mod p."""
-    p = lvl.p
-    values = apply_poly_to_sequence(g, lvl.terms)
-    return level_sequence(p, [v % p for v in values])
+    """Apply g to a mod-p sequence, reducing the result mod p.
+
+    Over one period of lvl, each coefficient c_k scales the rotation of the
+    terms by k, by one translate with the table of v -> c_k * v mod p, and
+    the scaled streams add as little-endian ints: every term is a residue
+    mod p, so a byte holds 255 // (p - 1) of them with no carry into the
+    next, and one translate reduces each such partial sum (map chains when
+    p > 128, where two residues pass a byte)."""
+    return level_sequence(lvl.p, _applied(g.coeffs, lvl.terms, lvl.p))
 
 
 def alpha_sequence(s: LRSequence, cert: PrimitivityCertificate) -> LevelSequence:
@@ -308,44 +397,52 @@ def identity_failure(
     the carry of the level-(e-2) increment, and (only for e = 3) a
     binomial(j, 2) second-order term. Needs e >= 2; the streams of s are
     built once for every j, each digit stream once.
+
+    Each identity is one compare of two streams over the period L of s:
+    the top level rotated by the shift, against the sum mod p of the top
+    level and the right-hand side. Every stream is tiled to L, so term t is
+    the value at t. The terms of each summand are residues mod p (the
+    carries are 0 or 1), so _sum_mod adds them without a carry between
+    terms. Digit 1 of j times h_{e-2}(level 0) mod p^e depends only on that
+    product mod p^2, so h_{e-2} is applied mod p^2 and j scales the result
+    by one translate while p^2 <= 256. The first mismatch is searched only
+    once a compare has failed.
     """
     _check_same_generator(s, cert)
     ctx = s.f.ctx
-    e, p, m = ctx.e, ctx.p, ctx.modulus
+    e, p = ctx.e, ctx.p
     if e < 2:
         raise InvalidInputError("the shift identity needs e >= 2")
     if not is_primitive_sequence(s, cert):
         raise InvalidInputError("alpha is only defined for primitive sequences")
-    top = level(s, e - 1)
+    span = s.period
+    top = _tiled(level(s, e - 1).terms, span)
     a0 = level(s, 0)
-    alpha = apply_mod_p(cert.h_f, a0)  # alpha_sequence(s, cert)
+    alpha = _tiled(apply_mod_p(cert.h_f, a0).terms, span)  # alpha_sequence(s, cert)
     if e >= 3:
         a1 = level(s, 1)
-        low = a1 if e == 3 else level(s, e - 2)
-        hf_a1 = apply_mod_p(cert.h_f, a1)
+        low = _tiled((a1 if e == 3 else level(s, e - 2)).terms, span)
+        hf_a1 = _tiled(apply_mod_p(cert.h_f, a1).terms, span)
         # h_{e-2} acts on level 0 embedded into Z/(p^e); digit 1 of j times
-        # the result is what carries up.
-        deep = apply_poly_to_sequence(compute_h(s.f, e - 2), a0.terms)
+        # the result is what carries up, and it reads the result mod p^2.
+        deep = _tiled(_applied(compute_h(s.f, e - 2).coeffs, a0.terms, p * p), span)
         if e == 3:
-            hf2_a0 = apply_mod_p(cert.h_f, apply_mod_p(cert.h_f, a0))
+            hf2_a0 = _tiled(apply_mod_p(cert.h_f, apply_mod_p(cert.h_f, a0)).terms, span)
     for j in range(p):
-        shift = j * p ** (e - 2) * cert.T
-        for t in range(s.period):
-            if (top.at(t + shift) - top.at(t) - j * alpha.at(t)) % p:
-                return j, "shift", t
+        j_alpha = _scaled(alpha, j, p)
+        got = _rotated(top, j * p ** (e - 2) * cert.T)
+        want = _sum_mod((top, j_alpha), p)
+        if got != want:
+            return j, "shift", _first_mismatch(got, want)
         if e < 3:
             continue
-        binom = (j * (j - 1) // 2) % p
-        shift = j * p ** (e - 3) * cert.T
-        for t in range(s.period):
-            lhs = (top.at(t + shift) - top.at(t)) % p
-            inc_carry = carry_c1(low.at(t) + j * alpha.at(t) % p, p)
-            jdeep = j * deep[t % a0.period] % m
-            rhs = j * hf_a1.at(t) + carry_c1(jdeep, p) + inc_carry
-            if e == 3:
-                rhs += binom * hf2_a0.at(t)
-            if lhs != rhs % p:
-                return j, "carry", t
+        rhs = [top, _scaled(hf_a1, j, p), _scaled(deep, j, p * p, p), _carries(low, j_alpha, p)]
+        if e == 3:
+            rhs.append(_scaled(hf2_a0, j * (j - 1) // 2, p))
+        got = _rotated(top, j * p ** (e - 3) * cert.T)
+        want = _sum_mod(rhs, p)
+        if got != want:
+            return j, "carry", _first_mismatch(got, want)
     return None
 
 

@@ -31,10 +31,10 @@ from residueseq.ringcore import (
 )
 from residueseq.sequences import (
     LRSequence,
+    LevelSequence,
     _check_same_generator,
     _store,
     alpha_sequence,
-    apply_mod_p,
     generate,
     is_primitive_sequence,
     level,
@@ -380,6 +380,88 @@ def equal_at_alpha_k(s_a, s_b, m, cert, k) -> bool:
     return all(table[s_a.at(t)] == table[s_b.at(t)] for t in range(span) if alpha.at(t) == k)
 
 
+def is_primitive_sequence_per_term(s: LRSequence, cert: PrimitivityCertificate) -> bool:
+    """is_primitive_sequence as a scan of the terms mod p."""
+    _check_same_generator(s, cert)
+    p = s.f.ctx.p
+    return any(v % p for v in s.terms)
+
+
+def apply_mod_p_per_term(g: RingPolynomial, lvl: LevelSequence) -> LevelSequence:
+    """apply_mod_p as g applied term by term over Z/p^e, then each term mod p."""
+    p = lvl.p
+    values = apply_poly_to_sequence(g, lvl.terms)
+    return level_sequence(p, [v % p for v in values])
+
+
+def alpha_sequence_per_term(s: LRSequence, cert: PrimitivityCertificate) -> LevelSequence:
+    """alpha_sequence through the per-term primitivity test and application of h_f."""
+    _check_same_generator(s, cert)
+    if not is_primitive_sequence_per_term(s, cert):
+        raise InvalidInputError("alpha is only defined for primitive sequences")
+    return apply_mod_p_per_term(cert.h_f, level(s, 0))
+
+
+def value_set_per_term(a: LevelSequence, b: LevelSequence, k: int) -> set[int]:
+    """analysis._value_set as a scan over t of the joint period."""
+    span = math.lcm(a.period, b.period)
+    return {a.at(t) for t in range(span) if b.at(t) == k}
+
+
+def proportional_per_term(u: LevelSequence, v: LevelSequence, p: int) -> int | None:
+    """analysis._proportional as a scan over t for each lambda in turn:
+    lambda with u = lambda * v, if any (0 allowed for the zero sequence)."""
+    span = math.lcm(u.period, v.period)
+    for lam in range(p):
+        if all(u.at(t) == lam * v.at(t) % p for t in range(span)):
+            return lam
+    return None
+
+
+def identity_failure_per_term(s: LRSequence, cert: PrimitivityCertificate):
+    """identity_failure as one scan over t for each j and identity, with
+    every stream built by the per-term oracles above: for each j in [0, p),
+    the shift identity, then for e >= 3 the carry identity."""
+    _check_same_generator(s, cert)
+    ctx = s.f.ctx
+    e, p, m = ctx.e, ctx.p, ctx.modulus
+    if e < 2:
+        raise InvalidInputError("the shift identity needs e >= 2")
+    if not is_primitive_sequence_per_term(s, cert):
+        raise InvalidInputError("alpha is only defined for primitive sequences")
+    top = level(s, e - 1)
+    a0 = level(s, 0)
+    alpha = apply_mod_p_per_term(cert.h_f, a0)
+    if e >= 3:
+        a1 = level(s, 1)
+        low = a1 if e == 3 else level(s, e - 2)
+        hf_a1 = apply_mod_p_per_term(cert.h_f, a1)
+        # h_{e-2} acts on level 0 embedded into Z/(p^e); digit 1 of j times
+        # the result is what carries up.
+        deep = apply_poly_to_sequence(compute_h(s.f, e - 2), a0.terms)
+        if e == 3:
+            hf2_a0 = apply_mod_p_per_term(cert.h_f, apply_mod_p_per_term(cert.h_f, a0))
+    for j in range(p):
+        shift = j * p ** (e - 2) * cert.T
+        for t in range(s.period):
+            if (top.at(t + shift) - top.at(t) - j * alpha.at(t)) % p:
+                return j, "shift", t
+        if e < 3:
+            continue
+        binom = (j * (j - 1) // 2) % p
+        shift = j * p ** (e - 3) * cert.T
+        for t in range(s.period):
+            lhs = (top.at(t + shift) - top.at(t)) % p
+            inc_carry = carry_c1(low.at(t) + j * alpha.at(t) % p, p)
+            jdeep = j * deep[t % a0.period] % m
+            rhs = j * hf_a1.at(t) + carry_c1(jdeep, p) + inc_carry
+            if e == 3:
+                rhs += binom * hf2_a0.at(t)
+            if lhs != rhs % p:
+                return j, "carry", t
+    return None
+
+
 def shift_identity_check(
     s: LRSequence, cert: PrimitivityCertificate, j: int
 ) -> int | None:
@@ -396,7 +478,7 @@ def shift_identity_check(
         raise InvalidInputError("j must be nonnegative")
     p = ctx.p
     top = level(s, ctx.e - 1)
-    alpha = alpha_sequence(s, cert)
+    alpha = alpha_sequence_per_term(s, cert)
     shift = j * p ** (ctx.e - 2) * cert.T
     for t in range(s.period):
         lhs = (top.at(t + shift) - top.at(t)) % p
@@ -427,8 +509,8 @@ def carry_identity_check(
     a1 = level(s, 1)
     low = level(s, e - 2)
     top = level(s, e - 1)
-    alpha = alpha_sequence(s, cert)
-    hf_a1 = apply_mod_p(cert.h_f, a1)
+    alpha = alpha_sequence_per_term(s, cert)
+    hf_a1 = apply_mod_p_per_term(cert.h_f, a1)
     h_low = compute_h(s.f, e - 2)
     # h_{e-2} acts on level 0 embedded into Z/(p^e); digit 1 of j times
     # the result is what carries up.
@@ -437,7 +519,7 @@ def carry_identity_check(
     hf2_a0 = None
     if e == 3:
         binom = (j * (j - 1) // 2) % p
-        hf2_a0 = apply_mod_p(cert.h_f, apply_mod_p(cert.h_f, a0))
+        hf2_a0 = apply_mod_p_per_term(cert.h_f, apply_mod_p_per_term(cert.h_f, a0))
     shift = j * p ** (e - 3) * cert.T
     for t in range(s.period):
         lhs = (top.at(t + shift) - top.at(t)) % p

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,9 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import (
     equal_at_alpha_k,
+    proportional_per_term,
     s_uniform,
     scaled_uniform_scan_per_term,
     shift_classes_by_dict,
+    value_set_per_term,
     verify_alpha_k_injectivity_per_state,
 )
 from test_forced_failures import INJECTIONS, _constant_level, _top_level_plus_one
@@ -421,7 +425,10 @@ def test_alpha_k_frame_matches_the_per_state_oracle(p, e):
     # start, with the marks and the residue masks behind them
     cert = find_primitive(RingContext(p, e), 2)
     frame = analysis._alpha_k_frame(cert)
-    assert frame == oracles.alpha_k_frame_per_state(cert)
+    # the marks are arrays, the oracle's tuples: compare their values
+    assert all(type(ts) is array for by_k in frame[0] for ts in by_k)
+    marks = tuple(tuple(map(tuple, by_k)) for by_k in frame[0])
+    assert (marks, *frame[1:]) == oracles.alpha_k_frame_per_state(cert)
     period = analysis._atlas(cert.f)[0][0].period
     assert all(sum(gap) == period for gaps in frame[1] for gap in gaps)
 
@@ -934,6 +941,38 @@ def test_distribution_laws_match_the_per_pair_scans_under_forced_failures(monkey
     for law, per_pair, ring_e in DISTRIBUTION_LAWS:
         ctx = RingContext(3, ring_e or 2)
         assert law(ctx, 2) == per_pair(ctx, 2)
+
+
+@st.composite
+def level_pairs(draw):
+    """(p, a, b): level sequences of periods dividing 24, often unequal, at a
+    prime on either side of each byte bound; a is often lambda * b, and then
+    sometimes off at one term."""
+    p = draw(st.sampled_from((3, 5, 7, 131, 257)))
+    residues = st.integers(0, p - 1)
+    periods = st.sampled_from((1, 2, 3, 4, 6, 8, 12, 24))
+    la, lb = draw(periods), draw(periods)
+    b = draw(st.lists(st.one_of(st.just(0), residues), min_size=lb, max_size=lb))
+    if draw(st.booleans()):
+        lam, span = draw(residues), math.lcm(la, lb)
+        a = [lam * b[t % lb] % p for t in range(span)]
+        if draw(st.booleans()):
+            t = draw(st.integers(0, span - 1))
+            a[t] = (a[t] + draw(st.integers(1, p - 1))) % p
+    else:
+        a = draw(st.lists(residues, min_size=la, max_size=la))
+    return p, level_sequence(p, a), level_sequence(p, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(level_pairs(), st.data())
+def test_value_set_and_proportional_match_the_per_term_oracles(pair, data):
+    p, a, b = pair
+    k = data.draw(st.one_of(st.sampled_from(list(b.terms)), st.integers(0, p - 1)))
+    assert analysis._value_set(a, b, k) == value_set_per_term(a, b, k)
+    assert analysis._value_set(b, a, k) == value_set_per_term(b, a, k)
+    assert analysis._proportional(a, b, p) == proportional_per_term(a, b, p)
+    assert analysis._proportional(b, a, p) == proportional_per_term(b, a, p)
 
 
 def test_highest_level_failure_reads_the_lower_levels(monkeypatch):

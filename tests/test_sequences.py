@@ -5,10 +5,14 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import (
+    apply_mod_p_per_term,
     generate_by_tuple_state,
     generate_loop,
     identity_failure_per_j,
+    identity_failure_per_term,
+    is_primitive_sequence_per_term,
     least_period_divisor_scan,
     unit_rows,
 )
@@ -402,6 +406,129 @@ def test_identity_failure_matches_per_j_checks(p, e):
             got = identity_failure(s, cert)
             assert got == identity_failure_per_j(s, cert)
             assert (got[:2] if got else None) == outcome
+
+
+# the primes of the stream tests: two residues sum within a byte up to 128,
+# level terms are bytes up to 256
+STREAM_PRIMES = (3, 5, 7, 131, 257)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(STREAM_PRIMES), st.data())
+def test_apply_mod_p_matches_the_per_term_oracle(p, data):
+    # coefficients mod p^2 and past the period, which wrap
+    terms = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=24))
+    coeffs = data.draw(st.lists(st.integers(0, p * p - 1), max_size=30))
+    g, lvl = RingPolynomial(RingContext(p, 2), coeffs), level_sequence(p, terms)
+    got = apply_mod_p(g, lvl)
+    assert got == apply_mod_p_per_term(g, lvl)
+    assert type(got.terms) is type(lvl.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(STREAM_PRIMES), st.data())
+def test_stream_sums_and_carries_match_the_per_term_arithmetic(p, data):
+    # the carry identity's terms: sums mod p and the carry out of digit 0,
+    # added as ints while a byte holds them and by map chains past p = 128,
+    # which no identity ring of the tests reaches with e >= 3
+    size = data.draw(st.integers(1, 24))
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=size, max_size=size),
+                              min_size=2, max_size=6))
+    streams = [sequences._store(row, p) for row in rows]
+    sums = sequences._sum_mod(streams, p)
+    carries = sequences._carries(streams[0], streams[1], p)
+    assert list(sums) == [sum(column) % p for column in zip(*rows)]
+    assert list(carries) == [int(x + y >= p) for x, y in zip(rows[0], rows[1])]
+    assert type(sums) is type(carries) is type(streams[0])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 127, 131])
+def test_apply_mod_p_folds_more_residues_than_a_byte_holds(p):
+    # 300 nonzero coefficients: past 255 // (p - 1) residues a byte, the
+    # partial sums are reduced before the next is added
+    rng = random.Random(p)
+    g = RingPolynomial(RingContext(p, 2), [rng.randrange(1, p) for _ in range(300)] + [1])
+    lvl = level_sequence(p, [rng.randrange(p) for _ in range(40)])
+    assert apply_mod_p(g, lvl) == apply_mod_p_per_term(g, lvl)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 2, 2), (5, 3, 1), (17, 2, 1), (131, 2, 1)])
+def test_is_primitive_sequence_matches_the_per_term_oracle(p, e, n):
+    # bytes terms (m <= 256) and array terms, on states that are zero mod p
+    # and states that are not
+    cert = find_primitive(RingContext(p, e), n)
+    zero = (0,) * n
+    for state in (zero, (p,) + zero[1:], zero[1:] + (p * (p - 1),), zero[1:] + (1,), (p + 1,) + zero[1:]):
+        s = generate(cert.f, state)
+        assert is_primitive_sequence(s, cert) == is_primitive_sequence_per_term(s, cert)
+        assert is_primitive_sequence(s, cert) == any(v % p for v in state)
+
+
+def _tampered_h_f(cert, k, period_term=False):
+    """cert with x^k added to h_f, which changes alpha, so the shift identity
+    breaks at j = 1; or with x^k (x^T - 1) added, which leaves every stream
+    of period T, alpha among them, as it was but not level 1, so at e >= 3
+    only the carry identity breaks."""
+    h, T = cert.h_f, cert.T
+    coeffs = list(h.coeffs) + [0] * (T + k + 1)
+    coeffs[k] += 1
+    if period_term:
+        coeffs[T + k] -= 1
+    return cert._replace(h_f=RingPolynomial(h.ctx, coeffs))
+
+
+# past each byte bound of the stream scans: p^2 > 128 (13, 3), p^2 > 256 and
+# p^e > 256 (17, 3), two residues past a byte (131, 2); and n = 3
+IDENTITY_RINGS = [(3, 2, 2), (3, 3, 2), (3, 4, 2), (5, 3, 2), (3, 3, 3), (7, 2, 2),
+                  (11, 3, 1), (13, 3, 1), (17, 3, 1), (131, 2, 1)]
+
+
+@pytest.mark.parametrize("p,e,n", IDENTITY_RINGS)
+def test_identity_failure_matches_the_per_term_oracle(p, e, n):
+    """The stream compares give the per-term scan's (j, identity, t) when both
+    identities hold, when a tampered h_f breaks the shift identity, and when
+    one breaks only the carry identity. The state of each ring whose first
+    failure comes latest is kept: a tamper fails within the first n terms of
+    every state, since the stream of differences is itself a nonzero
+    recurring sequence of f mod p."""
+    ctx = RingContext(p, e)
+    genuine = find_primitive(ctx, n)
+    count = 1 if p > 100 else 4
+    states = _sample_primitive_states(ctx, n, count, random.Random(100 * p + 10 * e + n))
+    cases = [(genuine, None), (_tampered_h_f(genuine, n - 1), "shift"),
+             (_tampered_h_f(genuine, 0, period_term=True), "carry" if e >= 3 else None)]
+    for cert, identity in cases:
+        for state in states:
+            s = generate(genuine.f, state)
+            got = identity_failure(s, cert)
+            assert got == identity_failure_per_term(s, cert)
+            assert (got[:2] if got else None) == ((1, identity) if identity else None)
+
+
+@pytest.mark.parametrize("i,identity", [(2, "shift"), (1, "carry")])
+def test_identity_failure_finds_a_late_first_failure(monkeypatch, i, identity):
+    # one term of level i changed at the last t of the period: the top level
+    # breaks the shift identity at j = 1 where its rotation by p^(e-2) T
+    # reads it, level 1 breaks only the carry identity, near the end; the
+    # stream compare and the per-term scan meet the same first t
+    p, e = 5, 3
+    cert = find_primitive(RingContext(p, e), 2)
+    s = generate(cert.f, (0, 1))
+    genuine = sequences.level
+
+    def changed_at_the_end(seq, j):
+        lvl = genuine(seq, j)
+        if j != i:
+            return lvl
+        terms = [lvl.at(t) for t in range(seq.period)]
+        terms[-1] = (terms[-1] + 1) % p
+        return level_sequence(p, terms)
+
+    monkeypatch.setattr(sequences, "level", changed_at_the_end)
+    monkeypatch.setattr(oracles, "level", changed_at_the_end)
+    got = identity_failure(s, cert)
+    assert got == identity_failure_per_term(s, cert)
+    assert got[:2] == (1, identity) and got[2] > s.period // 2
 
 
 def test_dump_rows_columns():
